@@ -195,7 +195,8 @@ class CohomologyBasis:
 
 
 class CohomologyRing:
-    """Cached cohomology data of one (group, p) pair, degrees 1 and 2."""
+    """Cached cohomology data of one (group, p) pair, degrees 1 and 2.
+    Each construction builds a fresh ring; `get_ring` memoizes one per group."""
 
     def __init__(self, group: FiniteGroup, p: int):
         _check_prime(p)
@@ -274,21 +275,24 @@ class CohomologyRing:
             vals = (vals + int(t) * c.values) % self.p
         return Character(self.group, self.p, vals)
 
-    def cup_class(self, a: Character, b: Character) -> np.ndarray:
-        z = cup(Cochain.from_character(a), Cochain.from_character(b))
-        return self.basis(2).coordinates(z)
-
-
-_ring_cache: dict[tuple[int, int], CohomologyRing] = {}
+    def cup_span(self, chars: list[Character]) -> np.ndarray:
+        """Echelon basis rows of sum_chi chi u H^1 in H^2 coordinates."""
+        if any(c.group is not self.group or c.p != self.p for c in chars):
+            raise ValueError("characters on a different group or modulus")
+        h2 = self.basis(2)
+        phis = [c.values for c in self.basis(1).representatives]
+        if not chars or not phis:
+            return np.zeros((0, h2.dim), dtype=np.int64)
+        n = self.group.order
+        left = np.stack([c.values for c in chars])[:, None, :, None]
+        # (chi u phi)(g, h) = chi(g) phi(h), one flattened table per pair
+        flats = (left * np.stack(phis)[None, :, None, :]).reshape(-1, n * n) % self.p
+        return row_space_basis(h2.coordinates_batch(flats.T).T, self.p)
 
 
 def get_ring(group: FiniteGroup, p: int) -> CohomologyRing:
-    key = (id(group), p)
-    ring = _ring_cache.get(key)
-    if ring is None or ring.group is not group:
-        ring = CohomologyRing(group, p)
-        _ring_cache[key] = ring
-    return ring
+    """The ring of (group, p), built once and memoized on the group."""
+    return group.cached(("ring", p), lambda: CohomologyRing(group, p))
 
 
 def cohomology(group: FiniteGroup, p: int, degree: int) -> CohomologyBasis:

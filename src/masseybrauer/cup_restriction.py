@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain_dga import Cochain, cup, get_ring, restrict
+from .cochain_dga import get_ring, restrict
 from .fp_linalg import FpMatrix, in_row_space, kernel_basis, row_space_basis
 from .group_core import Character, FiniteGroup, Subgroup, kernel_of_characters
 
@@ -35,16 +35,7 @@ def lambda_image(group: FiniteGroup, chars: list[Character], p: int | None = Non
         p = chars[0].p
     elif p is None:
         raise ValueError("empty character list needs an explicit modulus")
-    ring = get_ring(group, p)
-    h2 = ring.basis(2)
-    rows = []
-    for chi in chars:
-        c = Cochain.from_character(chi)
-        for phi in ring.basis(1).representatives:
-            rows.append(h2.coordinates(cup(c, phi)))
-    if not rows:
-        return LambdaImage(np.zeros((0, h2.dim), dtype=np.int64), p)
-    return LambdaImage(row_space_basis(np.stack(rows), p), p)
+    return LambdaImage(get_ring(group, p).cup_span(chars), p)
 
 
 def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
@@ -54,14 +45,11 @@ def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
     sub_group, _ = sub.as_group()
     sub_ring = get_ring(sub_group, p)
     sub_h2 = sub_ring.basis(2)
-    # matrix of res in coordinates: column per G-representative
-    cols = []
-    for rep in h2.representatives:
-        res = restrict(rep, sub)
-        cols.append(sub_h2.coordinates(res))
     if h2.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    mat = FpMatrix(p, np.stack(cols, axis=1) if sub_h2.dim else np.zeros((0, h2.dim)))
+    # matrix of res in coordinates: column per G-representative
+    res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
+    mat = FpMatrix(p, sub_h2.coordinates_batch(res))
     ker = kernel_basis(mat)
     if not ker:
         return np.zeros((0, h2.dim), dtype=np.int64)
@@ -81,12 +69,9 @@ def has_property(
 ) -> PropertyVerdict:
     """Exactness of H^1(G)^r -> H^2(G) -> H^2(K) at the middle term, with
     K recomputed from the character list; on failure carries a witness."""
-    if chars:
-        p = chars[0].p
-    elif p is None:
-        raise ValueError("empty character list needs an explicit modulus")
     sub = kernel_of_characters(chars, group)
     image = lambda_image(group, chars, p)
+    p = image.p
     kernel = res_kernel_h2(group, sub, p)
     if image.dim == kernel.shape[0]:
         return PropertyVerdict(True, image.dim, kernel.shape[0], None)

@@ -6,7 +6,7 @@ pivot, so representative choices made downstream are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Largest accepted modulus, the largest prime below 2^16.  A product of two
+# residues is then below 2^32, so a dot product of fewer than 2^21 of them is
+# below 2^53: exact in float64 (Solver.solve_many) and int64 (Solver.solve,
+# elimination, cup products).  No Solver reaches 2^21 rows (its transform
+# would hold 2^42 entries).
+MAX_PRIME = 65521
+
+
 def _check_prime(p: int) -> int:
+    if p > MAX_PRIME:  # first: trial division of a huge p would not finish
+        raise ValueError(f"modulus {p} exceeds the exactness bound {MAX_PRIME}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
@@ -109,8 +119,8 @@ class Solver:
     """
 
     def __init__(self, a: np.ndarray, p: int):
+        self.p = _check_prime(p)
         a = np.asarray(a, dtype=np.int64) % p
-        self.p = p
         self.rows, self.cols = a.shape
         aug = np.concatenate([a, np.eye(self.rows, dtype=np.int64)], axis=1)
         red, pivots = rref(aug, p)
@@ -138,12 +148,13 @@ class Solver:
         Returns (solutions, ok) where solutions has one column per rhs and
         ok flags consistent systems.
         """
-        b = np.asarray(b, dtype=np.int64) % self.p
-        # float matmul is exact here (entries < p, sums far below 2^53) and
-        # hits BLAS, which matters for large batches
+        # C order: BLAS is several times slower on a transposed, narrow b
+        b = np.ascontiguousarray(b, dtype=np.int64) % self.p
+        # float matmul is exact by the MAX_PRIME bound and hits BLAS, which
+        # matters for large batches
         y = np.rint(self.transform.astype(np.float64) @ b.astype(np.float64))
         y = y.astype(np.int64) % self.p
-        ok = ~y[self.rank :].any(axis=0) if self.rank < self.rows else np.ones(b.shape[1], bool)
+        ok = ~y[self.rank :].any(axis=0)
         x = np.zeros((self.cols, b.shape[1]), dtype=np.int64)
         x[self.pivots] = y[: self.rank]
         return x, ok
@@ -191,6 +202,7 @@ def membership(v: FpVector, basis: list[FpVector]) -> FpVector | None:
 
 def row_space_basis(rows: np.ndarray, p: int) -> np.ndarray:
     """RREF basis (as stacked rows) of the span of the given row vectors."""
+    _check_prime(p)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)

@@ -8,7 +8,7 @@ index table.  All group laws are verified on the full table at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -16,7 +16,9 @@ from .fp_linalg import _check_prime, _freeze, is_prime
 
 
 class FiniteGroup:
-    """A finite group given by its order x order multiplication table."""
+    """A finite group given by its order x order multiplication table.  What
+    is derived from it (rings, subgroup groups, element orders) is memoized on
+    it by `cached` and freed with it."""
 
     def __init__(
         self,
@@ -35,6 +37,7 @@ class FiniteGroup:
         self.mul = _freeze(mul)
         self.identity = int(identity)
         self.name = name
+        self._memo: dict[Hashable, Any] = {}
         self._validate()
         inv = np.full(n, -1, dtype=np.int64)
         for g in range(n):
@@ -65,6 +68,12 @@ class FiniteGroup:
             if not np.array_equal(left, right):
                 raise ValueError("associativity fails")
 
+    def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value memoized under `key`, built by `build()` on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def times(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
@@ -75,6 +84,10 @@ class FiniteGroup:
         return r
 
     def element_orders(self) -> np.ndarray:
+        """Read-only table of element orders (memoized)."""
+        return self.cached("element_orders", self._element_orders)
+
+    def _element_orders(self) -> np.ndarray:
         out = np.zeros(self.order, dtype=np.int64)
         for g in range(self.order):
             x, k = g, 1
@@ -82,7 +95,7 @@ class FiniteGroup:
                 x = self.times(x, g)
                 k += 1
             out[g] = k
-        return out
+        return _freeze(out)
 
     def generating_set(self) -> list[int]:
         """A deterministic generating set (greedy by element index)."""
@@ -226,22 +239,23 @@ class Subgroup:
         """The subgroup as a standalone FiniteGroup.
 
         Returns (group, embedding) where embedding maps subgroup indices to
-        parent indices (sorted parent order).  The result is cached so that
-        repeated restrictions to one Subgroup share a group object.
+        parent indices (sorted parent order).  The pair is memoized on the
+        parent by member tuple, so every Subgroup with the same members shares
+        one group object; the whole group is the parent itself.
         """
-        cached = getattr(self, "_as_group", None)
-        if cached is not None:
-            return cached
-        emb = np.asarray(self.members, dtype=np.int64)
+        return self.parent.cached(("subgroup", self.members), self._build_group)
+
+    def _build_group(self) -> tuple[FiniteGroup, np.ndarray]:
+        emb = _freeze(np.asarray(self.members, dtype=np.int64))
+        if self.is_whole_group():
+            return self.parent, emb
         pos = {int(m): i for i, m in enumerate(emb)}
         k = len(emb)
         mul = np.zeros((k, k), dtype=np.int64)
         for i, a in enumerate(emb):
             for j, b in enumerate(emb):
                 mul[i, j] = pos[self.parent.times(int(a), int(b))]
-        out = (FiniteGroup(mul, identity=pos[self.parent.identity]), emb)
-        object.__setattr__(self, "_as_group", out)
-        return out
+        return FiniteGroup(mul, identity=pos[self.parent.identity]), emb
 
 
 def kernel_of_characters(

@@ -19,12 +19,10 @@ from typing import Iterable
 
 from .brauer_q import (
     HALF,
-    REAL,
     BrauerClass2,
     Place,
     classes_equal,
     factorize,
-    hilbert_symbol,
     is_local_square,
     splits_in_multiquadratic,
 )

@@ -11,12 +11,12 @@ independent cross-check (exponential, test use).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cochain_dga import Cochain, CohomologyRing, cup, differential, get_ring
-from .fp_linalg import in_row_space, row_space_basis
+from .fp_linalg import in_row_space
 from .group_core import Character, FiniteGroup
 
 
@@ -112,16 +112,7 @@ def indeterminacy_subspace(
     ring: CohomologyRing, chi1: Character, chi3: Character
 ) -> np.ndarray:
     """Echelon basis rows of chi1 u H^1 + chi3 u H^1 in H^2 coordinates."""
-    h2 = ring.basis(2)
-    rows = []
-    c1 = Cochain.from_character(chi1)
-    c3 = Cochain.from_character(chi3)
-    for phi in ring.basis(1).representatives:
-        rows.append(h2.coordinates(cup(c1, phi)))
-        rows.append(h2.coordinates(cup(c3, phi)))
-    if not rows:
-        return np.zeros((0, h2.dim), dtype=np.int64)
-    return row_space_basis(np.stack(rows), ring.p)
+    return ring.cup_span([chi1, chi3])
 
 
 def triple_massey_set(
@@ -195,7 +186,7 @@ class ScanEntry:
 class ScanReport:
     group: FiniteGroup
     p: int
-    entries: list[ScanEntry] = field(default_factory=list)
+    entries: list[ScanEntry]
 
     @property
     def witnesses(self) -> list[ScanEntry]:
@@ -206,59 +197,60 @@ class ScanReport:
         return not self.witnesses
 
 
+# cells of the representatives formed per block of the scan: bounds its
+# working memory whatever the number of triples
+_SCAN_CELLS = 1 << 18
+
+
 def scan_vanishing(group: FiniteGroup, p: int, jobs: int = 1) -> ScanReport:
-    """Check the vanishing triple Massey product property by iterating all
-    ordered triples of H^1 elements (zero and repeats included).
-
-    With jobs > 1 the (independent, read-only) triple computations run on a
-    thread pool; results are merged in triple order either way.
-    """
+    """Check the vanishing triple Massey product property on every ordered
+    triple of H^1 elements (zero and repeats included).  Batched: one solve
+    gives all c_ij; blocks of representatives -(chi_i u c_jk + c_ij u chi_k)
+    get H^2 coordinates from solves that also check exactly that they are
+    cocycles; containment is tested per (i, k).  Entries equal
+    `triple_massey_set` + `contains_zero`; `jobs` is accepted, no effect."""
     ring = get_ring(group, p)
-    h1 = ring.basis(1)
     h2 = ring.basis(2)
-    ring.d1_solver()  # prebuild shared caches before any parallel phase
-    d = h1.dim
-    coords = [tuple(t) for t in itertools.product(range(p), repeat=d)]
+    n = group.order
+    coords = list(itertools.product(range(p), repeat=ring.basis(1).dim))
     chars = [ring.character_from_coords(np.asarray(c, dtype=np.int64)) for c in coords]
-
-    # pairwise cup classes, batched
     m = len(chars)
-    flats = np.stack(
-        [
-            np.multiply.outer(chars[i].values, chars[j].values).reshape(-1) % p
-            for i in range(m)
-            for j in range(m)
-        ],
-        axis=1,
-    )
-    cc = h2.coordinates_batch(flats)
-    cup_zero = ~cc.any(axis=0) if h2.dim else np.ones(m * m, dtype=bool)
+    vals = np.stack([chi.values for chi in chars])
 
-    triples = list(itertools.product(range(m), repeat=3))
-    subspaces: dict[tuple[int, int], np.ndarray] = {}
-    for i, j, k in triples:
-        if cup_zero[i * m + j] and cup_zero[j * m + k] and (i, k) not in subspaces:
-            subspaces[(i, k)] = indeterminacy_subspace(ring, chars[i], chars[k])
+    # every chi_i u chi_j: whether its class vanishes, and c_ij solving d c_ij = -it
+    cups = (vals[:, None, :, None] * vals[None, :, None, :]).reshape(m * m, n * n) % p
+    cup_zero = ~h2.coordinates_batch(cups.T).any(axis=0)
+    c, ok = ring.d1_solver().solve_many(-cups.T)
+    if not np.array_equal(ok, cup_zero):
+        raise RuntimeError("vanishing cup classes disagree with d1-solvability")
+    c = c.T.reshape(m, m, n)
+    cup_zero = cup_zero.reshape(m, m)
 
-    def entry_for(t: tuple[int, int, int]) -> ScanEntry:
-        i, j, k = t
-        defined = bool(cup_zero[i * m + j]) and bool(cup_zero[j * m + k])
-        cz = False
-        if defined:
-            ds = find_triple_defining_system(chars[i], chars[j], chars[k])
-            rep = h2.coordinates(tilde(ds, 1, 3))
-            cz = in_row_space(rep, subspaces[(i, k)], p)
-        return ScanEntry((coords[i], coords[j], coords[k]), defined, cz)
+    # defined triples, ordered by (i, k) so that each (i, k) is one run
+    defined = cup_zero[:, :, None] & cup_zero[None, :, :]
+    ii, kk, jj = np.nonzero(defined.transpose(0, 2, 1))
+    reps = np.zeros((len(ii), h2.dim), dtype=np.int64)
+    step = max(1, _SCAN_CELLS // (n * n))
+    for s in range(0, len(ii), step):
+        i, j, k = ii[s : s + step], jj[s : s + step], kk[s : s + step]
+        z = vals[i, :, None] * c[j, k, None, :] + c[i, j, :, None] * vals[k, None, :]
+        reps[s : s + step] = h2.coordinates_batch((-z % p).reshape(len(i), -1).T).T
 
-    report = ScanReport(group, p)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # v is in the span of RREF rows R iff v == v[pivots] @ R
+    contains = np.zeros(len(ii), dtype=bool)
+    _, starts = np.unique(ii * m + kk, return_index=True)
+    for s, e in zip(starts, [*starts[1:], len(ii)]):
+        rows = indeterminacy_subspace(ring, chars[ii[s]], chars[kk[s]])
+        pivots = [np.flatnonzero(row)[0] for row in rows]
+        v = reps[s:e]
+        contains[s:e] = ~((v - v[:, pivots] @ rows) % p).any(axis=1)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.entries = list(pool.map(entry_for, triples, chunksize=64))
-    else:
-        report.entries = [entry_for(t) for t in triples]
-    return report
+    cz = np.zeros_like(defined)
+    cz[ii, jj, kk] = contains
+    return ScanReport(group, p, [
+        ScanEntry((coords[i], coords[j], coords[k]), bool(defined[i, j, k]), bool(cz[i, j, k]))
+        for i, j, k in itertools.product(range(m), repeat=3)
+    ])
 
 
 def _common(*chars: Character) -> tuple[FiniteGroup, int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -181,14 +180,6 @@ def gamma_from_system(
     return GammaMap(g, n, p, full_images, bar_images, is_full, is_bar)
 
 
-def _element_orders_cached(group: FiniteGroup) -> np.ndarray:
-    orders = getattr(group, "_element_orders", None)
-    if orders is None:
-        orders = group.element_orders()
-        group._element_orders = orders
-    return orders
-
-
 def find_prescribed_hom(
     group: FiniteGroup,
     chars: list[Character],
@@ -206,8 +197,8 @@ def find_prescribed_hom(
     target = build_unipotent(n, p, bar)
     gens = group.generating_set()
     superdiag = target.superdiagonal_table()
-    t_orders = _element_orders_cached(target)
-    g_orders = _element_orders_cached(group)
+    t_orders = target.element_orders()
+    g_orders = group.element_orders()
 
     # fiber of each prescribed superdiagonal, pre-pruned by the necessary
     # condition ord(image) | ord(generator)

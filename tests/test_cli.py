@@ -205,6 +205,12 @@ class TestExitCodes:
         )
         assert code == 1 and "error" in data
 
+    @pytest.mark.parametrize("command", ["cohomology", "scan-vanishing"])
+    def test_modulus_over_bound_is_1(self, capsys, command):
+        argv = ["group", command, "--group", "cyclic:2", "--p", str(2**31 - 1)]
+        code, data = run_json(capsys, argv + (["--degree", "2"] if command == "cohomology" else []))
+        assert code == 1 and "exactness bound" in data["error"]
+
     def test_bad_char_length_is_1(self, capsys):
         code, data = run_json(
             capsys,

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import (
     Cochain,
+    CohomologyRing,
     class_coordinates,
     coboundary_matrix,
     cohomology,
@@ -16,6 +19,7 @@ from masseybrauer.cochain_dga import (
 )
 from masseybrauer.group_core import (
     Character,
+    FiniteGroup,
     Subgroup,
     cyclic_group,
     elementary_abelian,
@@ -196,8 +200,6 @@ class TestRestrict:
         for _ in range(10):
             a = random_cochain(g, 2, 1)
             b = random_cochain(g, 2, 1)
-            # restriction builds a fresh group object each call, so compare
-            # value tables rather than Cochain identity
             assert np.array_equal(
                 restrict(differential(a), k).values,
                 differential(restrict(a, k)).values,
@@ -206,6 +208,26 @@ class TestRestrict:
                 restrict(cup(a, b), k).values,
                 cup(restrict(a, k), restrict(b, k)).values,
             )
+
+
+class TestRingMemo:
+    def test_get_ring_memoized_per_group_and_modulus(self):
+        g = elementary_abelian(2, 2)
+        assert get_ring(g, 2) is get_ring(g, 2)
+        assert get_ring(g, 3) is not get_ring(g, 2)
+        assert CohomologyRing(g, 2) is not get_ring(g, 2)
+
+    def test_dropped_group_frees_its_rings(self):
+        table = (np.arange(6)[:, None] + np.arange(6)[None, :]) % 6
+        g = FiniteGroup(table)
+        ring = get_ring(g, 3)
+        ring.basis(2)
+        k, _ = kernel_of_characters(ring.h1_characters()).as_group()
+        get_ring(k, 3).basis(2)
+        refs = [weakref.ref(g), weakref.ref(k)]
+        del g, ring, k
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestClassCoordinates:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from masseybrauer.catalog import builtin_group
-from masseybrauer.cochain_dga import Cochain, cup, get_ring
+from masseybrauer.cochain_dga import Cochain, CohomologyRing, cup, get_ring
 from masseybrauer.cup_restriction import (
     has_property,
     lambda_image,
@@ -13,9 +13,24 @@ from masseybrauer.fp_linalg import in_row_space, row_spaces_equal
 from masseybrauer.group_core import (
     Character,
     cyclic_group,
+    elementary_abelian,
     kernel_of_characters,
     whole_group,
 )
+
+
+@pytest.fixture
+def rings_built(monkeypatch):
+    """The groups of every CohomologyRing constructed during the test."""
+    built = []
+    init = CohomologyRing.__init__
+
+    def counting(self, group, p):
+        built.append(group)
+        init(self, group, p)
+
+    monkeypatch.setattr(CohomologyRing, "__init__", counting)
+    return built
 
 
 class TestLambdaImage:
@@ -112,6 +127,21 @@ class TestHasProperty:
                     ker = res_kernel_h2(g, kernel_of_characters(chars[:k], g), p)
                     assert in_row_space(verdict.witness, ker, p)
                     assert not in_row_space(verdict.witness, img.basis, p)
+
+    def test_whole_group_reuses_the_ring(self, rings_built):
+        g = elementary_abelian(2, 3)
+        get_ring(g, 2).basis(2)
+        verdict = has_property(g, [], 2)
+        assert verdict.holds and verdict.dim_kernel == 0
+        assert rings_built == [g]
+
+    def test_repeated_calls_build_the_kernel_ring_once(self, rings_built):
+        g = elementary_abelian(2, 3)
+        chi = get_ring(g, 2).h1_characters()[0]
+        verdicts = [has_property(g, [chi]) for _ in range(5)]
+        assert len({(v.holds, v.dim_image, v.dim_kernel) for v in verdicts}) == 1
+        assert len(rings_built) == 2  # G's ring and K's ring
+        assert rings_built[1] is kernel_of_characters([chi]).as_group()[0]
 
 
 class TestSpanIndependence:

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masseybrauer._kernels import _rref_loops, _rref_numpy
 from masseybrauer.fp_linalg import (
+    MAX_PRIME,
     FpMatrix,
     FpVector,
     Solver,
+    _check_prime,
     in_row_space,
     kernel_basis,
     membership,
@@ -142,6 +145,57 @@ class TestProperties:
             assert ok[k] == (single is not None)
             if single is not None:
                 assert np.array_equal(xs[:, k], single)
+
+
+class TestModulusBound:
+    def test_mersenne_31_rejected(self):
+        p = 2**31 - 1
+        with pytest.raises(ValueError, match="exactness bound"):
+            _check_prime(p)
+        with pytest.raises(ValueError):
+            Solver(np.eye(2, dtype=np.int64), p)
+        with pytest.raises(ValueError):
+            FpVector(p, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError):
+            row_space_basis(np.eye(2, dtype=np.int64), p)
+
+    def test_bound_is_the_largest_accepted_prime(self):
+        assert _check_prime(MAX_PRIME) == MAX_PRIME
+        with pytest.raises(ValueError):
+            _check_prime(65537)  # the next prime
+
+    def test_solve_many_exact_at_largest_prime(self):
+        p = MAX_PRIME
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, p, size=(6, 6))
+        a[5] = (a[0] + a[1]) % p  # rank deficient: b solvable iff b5 = b0 + b1
+        x_true = rng.integers(0, p, size=(6, 8))
+        rhs = np.concatenate([(a.astype(object) @ x_true.astype(object)) % p,
+                              rng.integers(0, p, size=(6, 8)).astype(object)], axis=1)
+        xs, ok = Solver(a, p).solve_many(rhs.astype(np.int64))
+        for k in range(rhs.shape[1]):
+            col = rhs[:, k]
+            assert ok[k] == ((col[0] + col[1] - col[5]) % p == 0)
+            if ok[k]:
+                exact = (a.astype(object) @ xs[:, k].astype(object)) % p
+                assert list(exact) == list(col)
+        assert ok[:8].all()
+
+
+class TestRrefKernels:
+    """The loop kernel is the source numba compiles; run it as plain Python
+    so that it is checked against the numpy kernel without numba."""
+
+    @given(matrix_and_vector(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_loops_match_numpy(self, data, extra_cols):
+        p, a, _ = data
+        a = np.concatenate([a, (a[:, :extra_cols] * 2) % p], axis=1)  # dependent columns
+        loops, vec = a.copy(), a.copy()
+        piv_loops = _rref_loops(loops, p)
+        piv_vec = _rref_numpy(vec, p)
+        assert np.array_equal(piv_loops, piv_vec)
+        assert np.array_equal(loops, vec)
 
 
 class TestRowSpaces:

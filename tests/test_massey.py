@@ -179,6 +179,20 @@ class TestScanVanishing:
             if enum is not None:
                 assert entry.contains_zero == (tuple([0] * ring.basis(2).dim) in enum)
 
+    @pytest.mark.parametrize("name, p", [("elab:3:2", 3), ("unipotent:2:3", 3)])
+    def test_matches_per_triple_reference(self, name, p):
+        g, ring = chars_of(name, p)
+        report = scan_vanishing(g, p)
+        assert report.witnesses  # both groups carry nonvanishing triples
+        for entry in report.entries:
+            chars = [
+                ring.character_from_coords(np.asarray(c, dtype=np.int64))
+                for c in entry.triple
+            ]
+            coset = triple_massey_set(*chars)
+            assert entry.defined == (coset is not None)
+            assert entry.contains_zero == (coset is not None and contains_zero(coset))
+
     def test_jobs_deterministic(self):
         g = builtin_group("elab:2:2")
         a = scan_vanishing(g, 2, jobs=1)
