@@ -1,10 +1,11 @@
-"""Benchmark the numba elimination kernel against the pure-numpy fallback.
+"""Time the F_p row reduction kernel by matrix shape.
 
 Run as:  python3 bench/benchmark.py
 
-Both paths compute identical RREFs; this only measures speed on the matrix
-shapes the cohomology engine actually produces (coboundary matrices of the
-builtin groups) plus a few synthetic dense matrices.
+The cases are the degree-2 coboundary matrices of some builtin groups (the
+shapes H^2 reduces, here built whole) and random dense matrices, full rank
+and rank-deficient.  Each line gives the shape, the modulus, the rank and
+the best of three wall times.
 """
 
 from __future__ import annotations
@@ -13,19 +14,9 @@ import time
 
 import numpy as np
 
-from masseybrauer import _kernels
+from masseybrauer._kernels import rref
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix
-
-
-def _jit_kernel():
-    if _kernels._rref_jit is not None:
-        return _kernels._rref_jit
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit(cache=True)(_kernels._rref_loops)
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -38,32 +29,23 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def cases():
+    for name, p in [("elab:2:3", 2), ("dihedral:8", 2), ("dihedral:12", 2), ("elab:3:3", 3)]:
+        yield f"d2 {name}", coboundary_matrix(builtin_group(name), p, 2), p
     rng = np.random.default_rng(7)
-    for name, p in [("elab:2:3", 2), ("dihedral:8", 2), ("elab:3:3", 3)]:
-        g = builtin_group(name)
-        yield f"d2 coboundary {name} (p={p})", coboundary_matrix(g, p, 2), p
-    for n, p in [(300, 2), (300, 3), (600, 5)]:
-        yield f"random {n}x{n} (p={p})", rng.integers(0, p, size=(n, n)), p
+    for n, p in [(300, 2), (300, 3), (600, 5), (600, 65521)]:
+        yield f"random {n}x{n}", rng.integers(0, p, size=(n, n)), p
+    for rows, cols, rank, p in [(4000, 400, 40, 3), (4000, 400, 380, 3)]:
+        a = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols))
+        yield f"random rank {rank}", a % p, p
 
 
 def main() -> None:
-    jit = _jit_kernel()
-    if jit is None:
-        print("numba not importable; only the numpy fallback can be timed")
-    print(f"{'case':40s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}")
+    print(f"{'case':22s} {'shape':>12s} {'p':>6s} {'rank':>5s} {'seconds':>9s}")
     for label, mat, p in cases():
-        mat = np.ascontiguousarray(mat, dtype=np.int64) % p
-        t_np = _time(lambda: _kernels._rref_numpy(mat.copy(), p))
-        if jit is not None:
-            jit(mat.copy(), p)  # warm the JIT cache
-            t_nb = _time(lambda: jit(mat.copy(), p))
-            a, b = mat.copy(), mat.copy()
-            _kernels._rref_numpy(a, p)
-            jit(b, p)
-            assert np.array_equal(a, b), f"kernel mismatch on {label}"
-            print(f"{label:40s} {t_np:9.4f}s {t_nb:9.4f}s {t_np / t_nb:7.2f}x")
-        else:
-            print(f"{label:40s} {t_np:9.4f}s {'-':>10s} {'-':>8s}")
+        _, pivots = rref(mat, p)
+        t = _time(lambda: rref(mat, p))
+        shape = "x".join(map(str, mat.shape))
+        print(f"{label:22s} {shape:>12s} {p:6d} {len(pivots):5d} {t:9.4f}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp_linalg import Solver, _check_prime, _freeze, row_space_basis, rref
+from ._kernels import BLOCK_ROWS, rref, rref_blocks
+from .fp_linalg import Solver, _check_prime, _freeze, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, Subgroup
 
 MAX_DEGREE = 3
@@ -126,31 +127,34 @@ def restrict(c: Cochain, sub: Subgroup) -> Cochain:
     return Cochain(k, c.p, c.degree, vals)
 
 
-def coboundary_matrix(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
-    """Matrix of d: C^degree -> C^(degree+1) on flattened value tables."""
+def coboundary_matrix(
+    group: FiniteGroup, p: int, degree: int, rows: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Matrix of d: C^degree -> C^(degree+1) on flattened value tables, or
+    only its rows start..stop-1 for rows = (start, stop)."""
+    if degree not in (0, 1, 2):
+        raise ValueError("coboundary matrix only built for degrees 0..2")
     n = group.order
     mul = group.mul
+    start, stop = rows if rows is not None else (0, n ** (degree + 1))
+    m = np.zeros((stop - start, n**degree), dtype=np.int64)
     if degree == 0:
-        return np.zeros((n, 1), dtype=np.int64)
+        return m
+    idx = np.arange(start, stop)
+    at = idx - start
     if degree == 1:
-        m = np.zeros((n * n, n), dtype=np.int64)
-        rows = np.arange(n * n)
-        g, h = np.divmod(rows, n)
-        np.add.at(m, (rows, g), 1)
-        np.add.at(m, (rows, h), 1)
-        np.add.at(m, (rows, mul[g, h]), -1)
-        return m % p
-    if degree == 2:
-        m = np.zeros((n**3, n * n), dtype=np.int64)
-        rows = np.arange(n**3)
-        gh, k = np.divmod(rows, n)
+        g, h = np.divmod(idx, n)
+        np.add.at(m, (at, g), 1)
+        np.add.at(m, (at, h), 1)
+        np.add.at(m, (at, mul[g, h]), -1)
+    else:
+        gh, k = np.divmod(idx, n)
         g, h = np.divmod(gh, n)
-        np.add.at(m, (rows, h * n + k), 1)
-        np.add.at(m, (rows, mul[g, h] * n + k), -1)
-        np.add.at(m, (rows, g * n + mul[h, k]), 1)
-        np.add.at(m, (rows, g * n + h), -1)
-        return m % p
-    raise ValueError("coboundary matrix only built for degrees 0..2")
+        np.add.at(m, (at, h * n + k), 1)
+        np.add.at(m, (at, mul[g, h] * n + k), -1)
+        np.add.at(m, (at, g * n + mul[h, k]), 1)
+        np.add.at(m, (at, g * n + h), -1)
+    return m % p
 
 
 @dataclass
@@ -202,19 +206,13 @@ class CohomologyRing:
         _check_prime(p)
         self.group = group
         self.p = p
-        self._d: dict[int, np.ndarray] = {}
         self._basis: dict[int, CohomologyBasis] = {}
         self._d1_solver: Solver | None = None
-
-    def d_matrix(self, degree: int) -> np.ndarray:
-        if degree not in self._d:
-            self._d[degree] = coboundary_matrix(self.group, self.p, degree)
-        return self._d[degree]
 
     def d1_solver(self) -> Solver:
         """Solver for d c = (given 2-cochain), c of degree 1."""
         if self._d1_solver is None:
-            self._d1_solver = Solver(self.d_matrix(1), self.p)
+            self._d1_solver = Solver(coboundary_matrix(self.group, self.p, 1), self.p)
         return self._d1_solver
 
     def basis(self, degree: int) -> CohomologyBasis:
@@ -227,37 +225,29 @@ class CohomologyRing:
     def _compute(self, degree: int) -> CohomologyBasis:
         g, p = self.group, self.p
         n = g.order
-        d_here = self.d_matrix(degree)
-        red, pivots = rref(d_here, p)
-        pivset = set(pivots.tolist())
-        cols = n**degree
-        # kernel basis of d^degree = Z^degree
-        z_basis = []
-        for f in range(cols):
-            if f in pivset:
-                continue
-            v = np.zeros(cols, dtype=np.int64)
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = (-red[r, f]) % p
-            z_basis.append(v)
+        rows = n ** (degree + 1)
+        # Z^degree = ker d^degree, reduced from row blocks of d^degree: the
+        # |G|^3 x |G|^2 matrix of d^2 is never built
+        red, pivots = rref_blocks(
+            (
+                coboundary_matrix(g, p, degree, (lo, min(lo + BLOCK_ROWS, rows)))
+                for lo in range(0, rows, BLOCK_ROWS)
+            ),
+            n**degree,
+            p,
+        )
+        z = null_space_rows(red, pivots, p)
         # B^degree = column space of d^(degree-1), as echelon rows
-        d_prev = self.d_matrix(degree - 1)
-        b_rows = row_space_basis(d_prev.T, p)
-        # extend B to Z: cocycles whose classes are independent
-        reps: list[np.ndarray] = []
-        span = b_rows
-        for v in z_basis:
-            cand = np.concatenate([span, v.reshape(1, -1)])
-            new = row_space_basis(cand, p)
-            if new.shape[0] > span.shape[0]:
-                reps.append(v)
-                span = new
+        b_rows = row_space_basis(coboundary_matrix(g, p, degree - 1).T, p)
+        # extend B to Z: the cocycles among the pivot columns of [B; Z]^T are
+        # those outside the span of B and the cocycles before them
+        _, piv = rref(np.concatenate([b_rows, z]).T, p)
+        reps = z[piv[piv >= len(b_rows)] - len(b_rows)]
         rep_cochains = [
             Cochain(g, p, degree, v.reshape((n,) * degree)) for v in reps
         ]
-        spanning = reps + [row for row in b_rows]
-        solver = Solver(np.stack(spanning, axis=1), p) if spanning else None
+        spanning = np.concatenate([reps, b_rows])
+        solver = Solver(spanning.T, p) if len(spanning) else None
         return CohomologyBasis(degree, rep_cochains, b_rows, solver, p)
 
     # convenience views -----------------------------------------------------

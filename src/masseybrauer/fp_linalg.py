@@ -26,9 +26,9 @@ def is_prime(n: int) -> bool:
 
 # Largest accepted modulus, the largest prime below 2^16.  A product of two
 # residues is then below 2^32, so a dot product of fewer than 2^21 of them is
-# below 2^53: exact in float64 (Solver.solve_many) and int64 (Solver.solve,
-# elimination, cup products).  No Solver reaches 2^21 rows (its transform
-# would hold 2^42 entries).
+# below 2^53: exact in float64 (elimination, Solver) and int64 (cup
+# products).  Elimination rejects 2^21 or more columns (_kernels.MAX_COLS),
+# which also bounds a Solver's rows: it eliminates [A | I].
 MAX_PRIME = 65521
 
 
@@ -127,20 +127,16 @@ class Solver:
         # pivots landing in the identity block are rank deficiencies of A
         self.pivots = pivots[pivots < self.cols]
         self.rank = len(self.pivots)
-        self.transform = red[:, self.cols :]
-        self.reduced = red[:, : self.cols]
+        # float64 once: every solve is one BLAS product, exact by MAX_PRIME
+        self.transform = red[:, self.cols :].astype(np.float64)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """A solution x of A x = b, or None if the system is inconsistent."""
-        b = np.asarray(b, dtype=np.int64) % self.p
+        b = np.asarray(b, dtype=np.int64)
         if b.shape != (self.rows,):
             raise ValueError("dimension mismatch")
-        y = (self.transform @ b) % self.p
-        if y[self.rank :].any():
-            return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        x[self.pivots] = y[: self.rank]
-        return x
+        x, ok = self.solve_many(b[:, None])
+        return x[:, 0] if ok[0] else None
 
     def solve_many(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve A x = b for each column of `b`.
@@ -150,10 +146,7 @@ class Solver:
         """
         # C order: BLAS is several times slower on a transposed, narrow b
         b = np.ascontiguousarray(b, dtype=np.int64) % self.p
-        # float matmul is exact by the MAX_PRIME bound and hits BLAS, which
-        # matters for large batches
-        y = np.rint(self.transform.astype(np.float64) @ b.astype(np.float64))
-        y = y.astype(np.int64) % self.p
+        y = (self.transform @ b.astype(np.float64)).astype(np.int64) % self.p
         ok = ~y[self.rank :].any(axis=0)
         x = np.zeros((self.cols, b.shape[1]), dtype=np.int64)
         x[self.pivots] = y[: self.rank]
@@ -173,16 +166,20 @@ def solve_linear(a: FpMatrix, b: FpVector) -> FpVector | None:
 def kernel_basis(a: FpMatrix) -> list[FpVector]:
     """Echelonized basis of the null space of A (empty for injective A)."""
     red, pivots = rref(a.entries, a.p)
-    p = a.p
-    free = [c for c in range(a.cols) if c not in set(pivots.tolist())]
-    basis = []
-    for f in free:
-        v = np.zeros(a.cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r, f]) % p
-        basis.append(FpVector(p, v))
-    return basis
+    return [FpVector(a.p, v) for v in null_space_rows(red, pivots, a.p)]
+
+
+def null_space_rows(red: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """Null space basis, one row per free column f (1 at f, 0 at the other
+    free columns), from the RREF rows `red` and their pivot columns."""
+    cols = red.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    z = np.zeros((len(free), cols), dtype=np.int64)
+    z[:, free] = np.eye(len(free), dtype=np.int64)
+    z[:, pivots] = (-red[: len(pivots), free].T) % p
+    return z
 
 
 def membership(v: FpVector, basis: list[FpVector]) -> FpVector | None:

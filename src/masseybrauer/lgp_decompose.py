@@ -12,6 +12,7 @@ realization of each target as a single symbol (a_i, x_i).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,14 +42,7 @@ class NonSplittingError(ValueError):
 
 
 def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def _primes(limit: int):

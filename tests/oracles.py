@@ -109,3 +109,31 @@ def span_by_enumeration(rows: np.ndarray, p: int) -> set[tuple[int, ...]]:
             v = (v + t * row) % p
         out.add(tuple(int(e) for e in v))
     return out
+
+
+def rref_by_loops(entries: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form mod p by textbook elimination on Python
+    integers, one pivot at a time (leftmost pivot column, first nonzero row
+    at or below as pivot row).  Returns the reduced matrix, zero rows at the
+    bottom, and the pivot columns."""
+    rows, cols = np.shape(entries)
+    a = [[int(x) % p for x in row] for row in np.asarray(entries).tolist()]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(rows):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    red = np.asarray(a, dtype=np.int64).reshape(rows, cols)
+    return red, np.asarray(pivots, dtype=np.int64)

@@ -76,6 +76,14 @@ class TestDifferential:
                 (m @ c.flat()) % 2, differential(c).flat()
             )
 
+    def test_row_range_matches_full_matrix(self):
+        g = builtin_group("dihedral:4")
+        for degree in (0, 1, 2):
+            full = coboundary_matrix(g, 3, degree)
+            n = len(full)
+            for lo, hi in [(0, 5), (n // 3, n // 2), (n - 3, n)]:
+                assert np.array_equal(coboundary_matrix(g, 3, degree, (lo, hi)), full[lo:hi])
+
 
 class TestCup:
     def test_zero_absorbing(self):
@@ -172,6 +180,35 @@ class TestCohomology:
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
             cohomology(cyclic_group(2), 2, 3)
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from obj through attributes and containers."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, FiniteGroup):
+        yield from _arrays(vars(obj), seen)
+
+
+class TestStreamedH2:
+    def test_ring_keeps_no_d2(self):
+        # d2 has |G|^3 rows; it is reduced in row blocks and never stored
+        g = builtin_group("elab:2:3")
+        ring = CohomologyRing(g, 2)
+        ring.basis(2)
+        ring.d1_solver()
+        shapes = [a.shape for a in _arrays(ring, set())]
+        assert shapes
+        assert all(s[0] != g.order**3 for s in shapes if s)
 
 
 class TestRestrict:

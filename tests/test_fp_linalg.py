@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masseybrauer._kernels import _rref_loops, _rref_numpy
+from masseybrauer._kernels import BLOCK_ROWS, MAX_COLS, rref, rref_blocks
 from masseybrauer.fp_linalg import (
     MAX_PRIME,
     FpMatrix,
@@ -18,7 +18,7 @@ from masseybrauer.fp_linalg import (
     solve_linear,
 )
 
-from oracles import kernel_by_enumeration, span_by_enumeration
+from oracles import kernel_by_enumeration, rref_by_loops, span_by_enumeration
 
 
 def M(p, rows):
@@ -182,20 +182,55 @@ class TestModulusBound:
         assert ok[:8].all()
 
 
+def _multi_block_cases(p):
+    """Matrices of several row blocks: full column rank, rank-deficient,
+    pivots that appear only in later blocks (left of the earlier ones), rank
+    above one block, and all zero."""
+    rng = np.random.default_rng(p)
+    rows = 3 * BLOCK_ROWS + 17
+    yield rng.integers(0, p, size=(rows, 40))
+    yield (rng.integers(0, p, size=(rows, 7)) @ rng.integers(0, p, size=(7, 45))) % p
+    late = rng.integers(0, p, size=(rows, 30))
+    late[: 2 * BLOCK_ROWS, :12] = 0
+    yield late
+    yield rng.integers(0, p, size=(BLOCK_ROWS + 60, BLOCK_ROWS + 12))
+    yield np.zeros((2 * BLOCK_ROWS + 1, 20), dtype=np.int64)
+
+
 class TestRrefKernels:
-    """The loop kernel is the source numba compiles; run it as plain Python
-    so that it is checked against the numpy kernel without numba."""
+    """The blocked kernel against the one-pivot-at-a-time oracle."""
 
     @given(matrix_and_vector(), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_loops_match_numpy(self, data, extra_cols):
         p, a, _ = data
         a = np.concatenate([a, (a[:, :extra_cols] * 2) % p], axis=1)  # dependent columns
-        loops, vec = a.copy(), a.copy()
-        piv_loops = _rref_loops(loops, p)
-        piv_vec = _rref_numpy(vec, p)
-        assert np.array_equal(piv_loops, piv_vec)
-        assert np.array_equal(loops, vec)
+        red, pivots = rref(a, p)
+        want_red, want_pivots = rref_by_loops(a, p)
+        assert np.array_equal(pivots, want_pivots)
+        assert np.array_equal(red, want_red)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+    def test_multi_block_matches_loops(self, p):
+        for a in _multi_block_cases(p):
+            red, pivots = rref(a, p)
+            want_red, want_pivots = rref_by_loops(a, p)
+            assert red.dtype == np.int64 and red.shape == a.shape
+            assert np.array_equal(pivots, want_pivots)
+            assert np.array_equal(red, want_red)
+            blocks = (a[lo : lo + BLOCK_ROWS] for lo in range(0, len(a), BLOCK_ROWS))
+            rows, piv = rref_blocks(blocks, a.shape[1], p)
+            assert np.array_equal(piv, want_pivots)
+            assert np.array_equal(rows, want_red[: len(piv)])
+
+    def test_column_bound(self):
+        # zero rows: nothing large is allocated
+        with pytest.raises(ValueError, match="exact below"):
+            rref(np.zeros((0, MAX_COLS), dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="exact below"):
+            rref_blocks([], MAX_COLS, 2)
+        red, pivots = rref(np.zeros((0, MAX_COLS - 1), dtype=np.int64), 2)
+        assert red.shape == (0, MAX_COLS - 1) and len(pivots) == 0
 
 
 class TestRowSpaces:

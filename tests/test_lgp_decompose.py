@@ -12,6 +12,7 @@ from masseybrauer.brauer_q import (
 )
 from masseybrauer.lgp_decompose import (
     NonSplittingError,
+    _is_perfect_square,
     decompose,
     decompose_biquadratic,
     find_v0,
@@ -19,6 +20,16 @@ from masseybrauer.lgp_decompose import (
     realize_as_cup,
     verify_certificate,
 )
+
+
+class TestPerfectSquare:
+    def test_beyond_float_range(self):
+        # a float square root of 10**400 overflows
+        assert _is_perfect_square(10**400)
+        assert _is_perfect_square((10**200 + 1) ** 2)
+        assert not _is_perfect_square((10**200 + 1) ** 2 - 1)
+        assert not _is_perfect_square((10**200 + 1) ** 2 + 1)
+        assert not _is_perfect_square(-(10**400))
 
 
 class TestFindV0:
