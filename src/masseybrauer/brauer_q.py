@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .fp_linalg import is_prime
+
 HALF = Fraction(1, 2)
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -31,7 +33,7 @@ class Place:
 
     def __post_init__(self):
         if self.finite:
-            if not _is_prime(self.q):
+            if not is_prime(self.q):
                 raise ValueError(f"{self.q} is not prime")
         elif self.q != 0:
             raise ValueError("the real place carries no prime")
@@ -55,17 +57,6 @@ class Place:
 
 
 REAL = Place.real()
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:

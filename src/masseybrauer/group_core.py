@@ -2,7 +2,10 @@
 mod-p elementary abelian quotient G/G^p[G,G].
 
 Element indices are the identity of elements; every map between groups is an
-index table.  All group laws are verified on the full table at construction.
+index table.  Tables are built and checked with whole-array operations.  Every
+table, built here or given from outside, is checked at construction: the
+identity law and right inverses on the full table, then associativity by
+Light's test on a generating set (see `FiniteGroup._validate`).
 """
 
 from __future__ import annotations
@@ -38,34 +41,30 @@ class FiniteGroup:
         self.identity = int(identity)
         self.name = name
         self._memo: dict[Hashable, Any] = {}
+        self.generators: Optional[tuple[int, ...]] = (
+            None if generators is None else tuple(int(g) for g in generators)
+        )
         self._validate()
-        inv = np.full(n, -1, dtype=np.int64)
-        for g in range(n):
-            h = int(np.nonzero(mul[g] == self.identity)[0][0])
-            inv[g] = h
-        self.inv = _freeze(inv)
-        if generators is not None:
-            gens = [int(g) for g in generators]
-            if len(subgroup_closure(self, gens)) != n:
-                raise ValueError("generator list does not generate the group")
-            self.generators: Optional[tuple[int, ...]] = tuple(gens)
-        else:
-            self.generators = None
 
     def _validate(self):
+        """Raise unless the table is a group; set `inv`.
+
+        Associativity uses Light's test.  The elements c with (ab)c = a(bc)
+        for all a, b contain the identity and are closed under products, so
+        once the generating set reaches every element by right
+        multiplication, checking each generator c is exact: O(n^2 |S|).
+        """
         mul, e, n = self.mul, self.identity, self.order
         if not np.array_equal(mul[e], np.arange(n)) or not np.array_equal(
             mul[:, e], np.arange(n)
         ):
             raise ValueError("identity law fails")
-        for g in range(n):
-            if e not in mul[g]:
-                raise ValueError("inverse law fails")
-        # associativity, chunked over the first index to bound memory
-        for a in range(n):
-            left = mul[mul[a], :]  # (n, n): (a b) c
-            right = mul[a, mul]  # (n, n): a (b c)
-            if not np.array_equal(left, right):
+        is_e = mul == e
+        if not is_e.any(axis=1).all():
+            raise ValueError("inverse law fails")
+        self.inv = _freeze(is_e.argmax(axis=1))
+        for c in self.generating_set():
+            if not np.array_equal(mul[mul, c], mul[:, mul[:, c]]):
                 raise ValueError("associativity fails")
 
     def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
@@ -88,28 +87,38 @@ class FiniteGroup:
         return self.cached("element_orders", self._element_orders)
 
     def _element_orders(self) -> np.ndarray:
-        out = np.zeros(self.order, dtype=np.int64)
-        for g in range(self.order):
-            x, k = g, 1
-            while x != self.identity:
-                x = self.times(x, g)
-                k += 1
-            out[g] = k
+        g = np.arange(self.order)
+        out = np.ones(self.order, dtype=np.int64)
+        x, k = g, 1
+        while (todo := x != self.identity).any():
+            x, k = np.where(todo, self.mul[x, g], x), k + 1
+            out[todo] = k
         return _freeze(out)
 
     def generating_set(self) -> list[int]:
-        """A deterministic generating set (greedy by element index)."""
+        """The given generators, else a greedy generating set by element
+        index (memoized)."""
+        return list(self.cached("generating_set", self._generating_set))
+
+    def _generating_set(self) -> tuple[int, ...]:
         if self.generators is not None:
-            return list(self.generators)
+            if len(subgroup_closure(self, self.generators)) != self.order:
+                raise ValueError("generator list does not generate the group")
+            return self.generators
+        # in a group each new generator at least doubles the closure, so more
+        # than floor(log2 n) of them means the table is not associative
+        limit = self.order.bit_length() - 1
         gens: list[int] = []
-        have = {self.identity}
-        for g in range(self.order):
-            if g not in have:
-                gens.append(g)
-                have = set(subgroup_closure(self, gens))
-                if len(have) == self.order:
-                    break
-        return gens
+        have = np.zeros(self.order, dtype=bool)
+        have[self.identity] = True
+        while not have.all():
+            if len(gens) == limit:
+                raise ValueError(
+                    "associativity fails: greedy generating set exceeds log2(order)"
+                )
+            gens.append(int(have.argmin()))  # least element not yet reached
+            have[subgroup_closure(self, gens)] = True
+        return tuple(gens)
 
     def __repr__(self):
         label = self.name or "group"
@@ -117,22 +126,19 @@ class FiniteGroup:
 
 
 def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> list[int]:
-    """Elements of the subgroup generated by `seeds`, in BFS discovery order."""
-    seen = {group.identity}
-    order: list[int] = [group.identity]
-    frontier = [group.identity]
-    gens = [int(s) for s in seeds]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = group.times(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    new.append(y)
-        frontier = new
-    return order
+    """Elements of the subgroup generated by `seeds`, in BFS discovery order
+    (within a level: by the element multiplied, then by seed)."""
+    gens = np.asarray(seeds, dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    levels = [np.asarray([group.identity])]
+    seen[group.identity] = True
+    while levels[-1].size:
+        cand = group.mul[np.ix_(levels[-1], gens)].ravel()
+        cand = cand[~seen[cand]]
+        _, first = np.unique(cand, return_index=True)
+        levels.append(cand[np.sort(first)])
+        seen[levels[-1]] = True
+    return np.concatenate(levels).tolist()
 
 
 def close_generators(perms: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
@@ -154,23 +160,24 @@ def close_generators(perms: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     ident = tuple(range(degree))
     index = {ident: 0}
     elems = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(x[g[i]] for i in range(degree))  # x after g
-                if y not in index:
-                    index[y] = len(elems)
-                    elems.append(y)
-                    new.append(y)
-        frontier = new
-    n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for a, pa in enumerate(elems):
-        for b, pb in enumerate(elems):
-            mul[a, b] = index[tuple(pa[pb[i]] for i in range(degree))]
-    return FiniteGroup(mul, identity=0, generators=[index[g] for g in gens], name=name)
+    right: list[list[int]] = [[] for _ in gens]  # right[k][x]: index of x g_k
+    parent, via = [0], [0]  # element b was found as parent[b] g_via[b]
+    for a, x in enumerate(elems):  # grows while it is walked: BFS order
+        for k, g in enumerate(gens):
+            y = tuple(x[i] for i in g)  # x after g
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                parent.append(a)
+                via.append(k)
+            right[k].append(index[y])
+    # column b of the table is column parent(b) right-multiplied by g_via(b)
+    right_mul = np.asarray(right, dtype=np.int64)
+    cols = np.empty((len(elems), len(elems)), dtype=np.int64)
+    cols[0] = np.arange(len(elems))
+    for b in range(1, len(elems)):
+        cols[b] = right_mul[via[b], cols[parent[b]]]
+    return FiniteGroup(cols.T, identity=0, generators=[index[g] for g in gens], name=name)
 
 
 @dataclass(frozen=True)
@@ -215,18 +222,18 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(int(m) for m in self.members)))
-        object.__setattr__(self, "members", mem)
+        idx = np.unique(np.asarray(self.members, dtype=np.int64))
+        object.__setattr__(self, "members", tuple(idx.tolist()))
         g = self.parent
-        s = set(mem)
-        if g.identity not in s:
+        inside = np.zeros(g.order, dtype=bool)
+        inside[idx] = True
+        if not inside[g.identity]:
             raise ValueError("subgroup must contain the identity")
-        for a in mem:
-            if int(g.inv[a]) not in s:
-                raise ValueError("subgroup not closed under inverse")
-            for b in mem:
-                if g.times(a, b) not in s:
-                    raise ValueError("subgroup not closed under multiplication")
+        inv_ok = inside[g.inv[idx]]
+        bad = np.flatnonzero(~(inv_ok & inside[g.mul[np.ix_(idx, idx)]].all(axis=1)))
+        if bad.size:  # name the law that fails first in member order
+            law = "inverse" if not inv_ok[bad[0]] else "multiplication"
+            raise ValueError(f"subgroup not closed under {law}")
 
     @property
     def order(self) -> int:
@@ -249,13 +256,10 @@ class Subgroup:
         emb = _freeze(np.asarray(self.members, dtype=np.int64))
         if self.is_whole_group():
             return self.parent, emb
-        pos = {int(m): i for i, m in enumerate(emb)}
-        k = len(emb)
-        mul = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(emb):
-            for j, b in enumerate(emb):
-                mul[i, j] = pos[self.parent.times(int(a), int(b))]
-        return FiniteGroup(mul, identity=pos[self.parent.identity]), emb
+        pos = np.full(self.parent.order, -1, dtype=np.int64)
+        pos[emb] = np.arange(len(emb))
+        mul = pos[self.parent.mul[np.ix_(emb, emb)]]
+        return FiniteGroup(mul, identity=int(pos[self.parent.identity])), emb
 
 
 def kernel_of_characters(
@@ -275,7 +279,7 @@ def kernel_of_characters(
     keep = np.ones(g.order, dtype=bool)
     for c in chars:
         keep &= c.values == 0
-    return Subgroup(g, tuple(int(i) for i in np.nonzero(keep)[0]))
+    return Subgroup(g, tuple(np.flatnonzero(keep).tolist()))
 
 
 def whole_group(g: FiniteGroup) -> Subgroup:
@@ -292,35 +296,21 @@ def frattini_p_quotient(
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    seeds = set()
-    for g in range(group.order):
-        seeds.add(group.power(g, p))
-        for h in range(group.order):
-            # commutator g h g^-1 h^-1
-            c = group.times(
-                group.times(g, h),
-                group.times(int(group.inv[g]), int(group.inv[h])),
-            )
-            seeds.add(c)
-    normal = set(subgroup_closure(group, sorted(seeds)))
-    # cosets, canonical representative = least member index
-    rep = np.full(group.order, -1, dtype=np.int64)
-    for g in range(group.order):
-        if rep[g] >= 0:
-            continue
-        coset = sorted(group.times(g, n) for n in normal)
-        for x in coset:
-            rep[x] = coset[0]
-    reps = sorted(set(int(r) for r in rep))
-    pos = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    mul = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            mul[i, j] = pos[int(rep[group.times(a, b)])]
-    quotient = FiniteGroup(mul, identity=pos[int(rep[group.identity])])
-    projection = np.asarray([pos[int(rep[g])] for g in range(group.order)], dtype=np.int64)
-    return quotient, projection
+    mul, inv, n = group.mul, group.inv, group.order
+    powers = np.full(n, group.identity)
+    for _ in range(p):
+        powers = mul[powers, np.arange(n)]
+    commutators = mul[mul, mul[np.ix_(inv, inv)]]  # g h g^-1 h^-1
+    normal = subgroup_closure(group, np.unique(np.concatenate([powers, commutators.ravel()])))
+    # cosets g N, canonical representative = least member index
+    rep = mul[:, normal].min(axis=1)
+    reps = np.unique(rep)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    quotient = FiniteGroup(
+        pos[rep[mul[np.ix_(reps, reps)]]], identity=int(pos[rep[group.identity]])
+    )
+    return quotient, pos[rep]
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +324,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGroup:
-    na, nb = a.order, b.order
-    mul = np.zeros((na * nb, na * nb), dtype=np.int64)
-    for x in range(na * nb):
-        xa, xb = divmod(x, nb)
-        for y in range(na * nb):
-            ya, yb = divmod(y, nb)
-            mul[x, y] = a.times(xa, ya) * nb + b.times(xb, yb)
+    nb = b.order
+    xa, xb = np.divmod(np.arange(a.order * nb), nb)
+    mul = a.mul[np.ix_(xa, xa)] * nb + b.mul[np.ix_(xb, xb)]
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = [g * nb + b.identity for g in a.generators] + [
@@ -366,35 +352,20 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: elements s^e r^i, index e*n + i."""
     if n < 1:
         raise ValueError("n must be positive")
-    order = 2 * n
-    mul = np.zeros((order, order), dtype=np.int64)
-    for x in range(order):
-        e1, i1 = divmod(x, n)
-        for y in range(order):
-            e2, i2 = divmod(y, n)
-            # (s^e1 r^i1)(s^e2 r^i2) = s^(e1+e2) r^(i2 + (-1)^e2 i1)
-            e = (e1 + e2) % 2
-            i = (i2 + (i1 if e2 == 0 else -i1)) % n
-            mul[x, y] = e * n + i
+    e, i = np.divmod(np.arange(2 * n), n)
+    # (s^e1 r^i1)(s^e2 r^i2) = s^(e1+e2) r^(i2 + (-1)^e2 i1)
+    mul = (e[:, None] + e) % 2 * n + (i + (1 - 2 * e) * i[:, None]) % n
     return FiniteGroup(mul, generators=[1 % n, n], name=f"dihedral:{n}")
 
 
-_Q8_AXIS = {  # quaternion unit products: (axis, axis) -> (sign, axis)
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-}
+# quaternion units 1, i, j, k as axes 0-3: the product of axes a and b is
+# axis a ^ b, with a minus sign where _Q8_MINUS[a, b] is set
+_Q8_MINUS = np.asarray([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion_group() -> FiniteGroup:
     """Q8 = {±1, ±i, ±j, ±k}; index = axis + 4 * (sign is minus)."""
-    mul = np.zeros((8, 8), dtype=np.int64)
-    for x in range(8):
-        s1, a1 = (x >= 4), x % 4
-        for y in range(8):
-            s2, a2 = (y >= 4), y % 4
-            sgn, axis = _Q8_AXIS[(a1, a2)]
-            minus = (sgn < 0) ^ s1 ^ s2
-            mul[x, y] = axis + (4 if minus else 0)
+    minus, axis = np.divmod(np.arange(8), 4)
+    sign = _Q8_MINUS[np.ix_(axis, axis)] ^ minus[:, None] ^ minus
+    mul = (axis[:, None] ^ axis) + 4 * sign
     return FiniteGroup(mul, generators=[1, 2], name="quaternion8")

@@ -133,7 +133,7 @@ def realize_as_cup(
     pool = sorted(relevant)
     divisors = sorted(
         {
-            _product(combo)
+            math.prod(combo)
             for k in range(len(pool) + 1)
             for combo in itertools.combinations(pool, k)
         }
@@ -154,13 +154,6 @@ def realize_as_cup(
     raise SearchBoundExceeded(
         f"no x found with auxiliary primes below {aux_prime_bound}"
     )
-
-
-def _product(items) -> int:
-    out = 1
-    for x in items:
-        out *= x
-    return out
 
 
 @dataclass

@@ -47,13 +47,15 @@ class UnipotentGroup(FiniteGroup):
 
         mats = np.zeros((order, dim, dim), dtype=np.int64)
         mats[:, range(dim), range(dim)] = 1
-        for idx, combo in enumerate(itertools.product(range(p), repeat=len(positions))):
-            for (i, j), v in zip(positions, combo):
-                mats[idx, i, j] = v
+        rows, cols = zip(*positions)
+        mats[:, rows, cols] = list(itertools.product(range(p), repeat=len(positions)))
         self.matrices = mats
 
-        prod = np.einsum("aik,bkj->abij", mats, mats) % p
-        mul = self._index_of(prod.reshape(order * order, dim, dim)).reshape(order, order)
+        # index of every product, digit by digit: entry (i, j) of a b is row i
+        # of a times column j of b (as `_index_of` reads a batch of matrices)
+        mul = np.zeros((order, order), dtype=np.int64)
+        for i, j in positions:
+            mul = mul * p + mats[:, i, :] @ mats[:, :, j].T % p
 
         gens = [
             self._index_of(self._transvection(i)[None])[0] for i in range(n)
@@ -101,6 +103,12 @@ def build_unipotent(n: int, p: int, bar: bool = False) -> UnipotentGroup:
     return _unipotent_cache[key]
 
 
+def _is_multiplicative(source: FiniteGroup, target: FiniteGroup, img: np.ndarray) -> bool:
+    return bool(
+        np.array_equal(img[source.mul], target.mul[img[:, None], img[None, :]])
+    )
+
+
 @dataclass
 class GroupHom:
     source: FiniteGroup
@@ -111,9 +119,7 @@ class GroupHom:
         img = np.asarray(self.images, dtype=np.int64)
         if img.shape != (self.source.order,):
             raise ValueError("image table must cover the source")
-        lhs = img[self.source.mul]
-        rhs = self.target.mul[img[:, None], img[None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not _is_multiplicative(self.source, self.target, img):
             raise ValueError("map is not multiplicative")
         self.images = img
 
@@ -133,12 +139,6 @@ class GammaMap:
     bar_images: np.ndarray
     is_hom_full: bool
     is_hom_bar: bool
-
-
-def _is_multiplicative(source: FiniteGroup, target: FiniteGroup, img: np.ndarray) -> bool:
-    return bool(
-        np.array_equal(img[source.mul], target.mul[img[:, None], img[None, :]])
-    )
 
 
 def gamma_from_system(

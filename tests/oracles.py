@@ -3,7 +3,9 @@
 These deliberately avoid the library's closed-form code paths: the Hilbert
 symbol oracle decides solvability of z^2 = a x^2 + b y^2 by exhaustive
 residue enumeration (with a Hensel-lifting argument fixing the modulus), and
-the linear-algebra oracles enumerate vectors outright.
+the linear-algebra oracles enumerate vectors outright.  The group oracles
+test every group law on every triple, and the reference builders fill group
+tables one entry at a time from their defining formulas.
 """
 
 from __future__ import annotations
@@ -137,3 +139,206 @@ def rref_by_loops(entries: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         r += 1
     red = np.asarray(a, dtype=np.int64).reshape(rows, cols)
     return red, np.asarray(pivots, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# finite groups: a brute-force law check and entry-by-entry reference builders
+
+
+def is_group_table(mul, identity: int = 0) -> bool:
+    """Identity law, a right inverse in every row, and associativity on all
+    n^3 triples."""
+    m = np.asarray(mul).tolist()
+    n, e = len(m), identity
+    if any(m[e][x] != x or m[x][e] != x for x in range(n)):
+        return False
+    if any(e not in row for row in m):
+        return False
+    return all(
+        m[m[a][b]][c] == m[a][m[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def inverse_by_loops(mul, identity: int = 0) -> list[int]:
+    """For each g, the first h with g h = e."""
+    return [row.index(identity) for row in np.asarray(mul).tolist()]
+
+
+def element_orders_by_loops(mul, identity: int = 0) -> list[int]:
+    m = np.asarray(mul).tolist()
+    out = []
+    for g in range(len(m)):
+        x, k = g, 1
+        while x != identity:
+            x, k = m[x][g], k + 1
+        out.append(k)
+    return out
+
+
+def closure_by_loops(mul, seeds, identity: int = 0) -> list[int]:
+    """Right-multiplication closure of the seeds, in BFS discovery order."""
+    m = np.asarray(mul).tolist()
+    order, frontier = [identity], [identity]
+    seen = {identity}
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in seeds:
+                y = m[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+                    new.append(y)
+        frontier = new
+    return order
+
+
+def greedy_generators_by_loops(mul, identity: int = 0) -> list[int]:
+    """Scan elements by index, keeping each one not yet generated."""
+    gens: list[int] = []
+    have = {identity}
+    for g in range(len(mul)):
+        if g not in have:
+            gens.append(g)
+            have = set(closure_by_loops(mul, gens, identity))
+    return gens
+
+
+def cyclic_by_loops(n: int):
+    """(table, generators) of Z/n."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)], [1 % n]
+
+
+def direct_product_by_loops(a, b):
+    """(table, generators) of A x B, element index xa * |B| + xb; `a` and `b`
+    are (table, generators, identity) triples."""
+    (ma, ga, ea), (mb, gb, eb) = a, b
+    na, nb = len(ma), len(mb)
+    mul = [[0] * (na * nb) for _ in range(na * nb)]
+    for x in range(na * nb):
+        xa, xb = divmod(x, nb)
+        for y in range(na * nb):
+            ya, yb = divmod(y, nb)
+            mul[x][y] = ma[xa][ya] * nb + mb[xb][yb]
+    return mul, [g * nb + eb for g in ga] + [ea * nb + g for g in gb]
+
+
+def dihedral_by_loops(n: int):
+    """(table, generators) of the dihedral group of order 2n, s^e r^i at
+    index e n + i."""
+    mul = [[0] * (2 * n) for _ in range(2 * n)]
+    for x in range(2 * n):
+        e1, i1 = divmod(x, n)
+        for y in range(2 * n):
+            e2, i2 = divmod(y, n)
+            mul[x][y] = (e1 + e2) % 2 * n + (i2 + (i1 if e2 == 0 else -i1)) % n
+    return mul, [1 % n, n]
+
+
+_UNIT_PRODUCTS = {  # Hamilton: i^2 = j^2 = k^2 = ijk = -1
+    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
+}
+
+
+def quaternion_by_loops():
+    """(table, generators) of Q8, index = axis (1, i, j, k) + 4 * (minus)."""
+    axes = "1ijk"
+    mul = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            a, b = axes[x % 4], axes[y % 4]
+            if a == "1" or b == "1":
+                sign, axis = 1, b if a == "1" else a
+            else:
+                sign, axis = _UNIT_PRODUCTS[(a, b)]
+            minus = (sign < 0) ^ (x >= 4) ^ (y >= 4)
+            mul[x][y] = axes.index(axis) + 4 * minus
+    return mul, [1, 2]
+
+
+def unipotent_by_products(n: int, p: int, bar: bool = False):
+    """(table, generators) of U_{n+1}(F_p), or its quotient by the center,
+    by multiplying the matrices: element index is the strictly-upper entries
+    read row by row as base-p digits (the corner left out for `bar`)."""
+    dim = n + 1
+    positions = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if bar:
+        positions.remove((0, dim - 1))
+    mats = []
+    for digits in itertools.product(range(p), repeat=len(positions)):
+        m = np.eye(dim, dtype=np.int64)
+        for (i, j), v in zip(positions, digits):
+            m[i, j] = v
+        mats.append(m)
+    mats = np.asarray(mats)
+    weights = p ** np.arange(len(positions) - 1, -1, -1)
+
+    def index(ms):
+        return np.stack([ms[..., i, j] % p for i, j in positions], -1) @ weights
+
+    def transvection(i):
+        m = np.eye(dim, dtype=np.int64)
+        m[i, i + 1] = 1
+        return m
+
+    mul = np.stack([index(mats[a] @ mats) for a in range(len(mats))])
+    return mul.tolist(), [int(index(transvection(i))) for i in range(n)]
+
+
+def close_generators_by_loops(perms):
+    """(table, generators) of the permutation group, elements in BFS order
+    from the identity, x g meaning "g first, then x"."""
+    degree = len(perms[0])
+    gens = [tuple(g) for g in perms]
+    ident = tuple(range(degree))
+    index, elems, frontier = {ident: 0}, [ident], [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[g[i]] for i in range(degree))
+                if y not in index:
+                    index[y] = len(elems)
+                    elems.append(y)
+                    new.append(y)
+        frontier = new
+    mul = [
+        [index[tuple(pa[pb[i]] for i in range(degree))] for pb in elems]
+        for pa in elems
+    ]
+    return mul, [index[g] for g in gens]
+
+
+def subgroup_by_loops(mul, members, identity: int = 0):
+    """(table, identity) of the subgroup on the sorted members."""
+    m = np.asarray(mul).tolist()
+    members = sorted(members)
+    pos = {x: i for i, x in enumerate(members)}
+    return [[pos[m[a][b]] for b in members] for a in members], pos[identity]
+
+
+def frattini_by_loops(mul, p: int, identity: int = 0):
+    """(table, identity, projection) of G / G^p [G, G], cosets numbered by
+    their least element."""
+    m = np.asarray(mul).tolist()
+    n = len(m)
+    inv = inverse_by_loops(mul, identity)
+    seeds = set()
+    for g in range(n):
+        x = identity
+        for _ in range(p):
+            x = m[x][g]
+        seeds.add(x)
+        for h in range(n):
+            seeds.add(m[m[g][h]][m[inv[g]][inv[h]]])
+    normal = closure_by_loops(mul, sorted(seeds), identity)
+    rep = [min(m[g][x] for x in normal) for g in range(n)]
+    reps = sorted(set(rep))
+    pos = {r: i for i, r in enumerate(reps)}
+    table = [[pos[rep[m[a][b]]] for b in reps] for a in reps]
+    return table, pos[rep[identity]], [pos[rep[g]] for g in range(n)]

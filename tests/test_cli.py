@@ -105,6 +105,25 @@ class TestGroupCommands:
         )
         assert code == 0 and data["dim"] == 1
 
+    @pytest.mark.parametrize(
+        "table, law",
+        [
+            ([[0, 1], [0, 1]], "identity law fails"),
+            (  # a loop of order 5: identity and inverse laws hold, not associative
+                [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                 [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+                "associativity fails",
+            ),
+        ],
+    )
+    def test_non_group_table_is_domain_error(self, capsys, table, law):
+        spec = json.dumps({"table": table})
+        code, data = run_json(
+            capsys,
+            ["group", "cohomology", "--group", spec, "--p", "2", "--degree", "1"],
+        )
+        assert code == 1 and data["error"].startswith(law)
+
     def test_perm_group(self, capsys):
         spec = json.dumps({"perm_degree": 3, "generators": [[2, 3, 1]]})
         code, data = run_json(

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from masseybrauer.catalog import builtin_group
+from masseybrauer import group_core
+from masseybrauer.catalog import SWEEP_P2, SWEEP_P3, builtin_group
 from masseybrauer.cochain_dga import get_ring
 from masseybrauer.group_core import (
     Character,
@@ -18,6 +21,62 @@ from masseybrauer.group_core import (
     subgroup_closure,
     whole_group,
 )
+from oracles import (
+    close_generators_by_loops,
+    closure_by_loops,
+    cyclic_by_loops,
+    dihedral_by_loops,
+    direct_product_by_loops,
+    element_orders_by_loops,
+    frattini_by_loops,
+    greedy_generators_by_loops,
+    inverse_by_loops,
+    is_group_table,
+    quaternion_by_loops,
+    subgroup_by_loops,
+    unipotent_by_products,
+)
+
+# a loop of order 5: identity and inverse laws hold, associativity does not
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+PERM_GROUPS = {  # S_n from an n-cycle and a transposition; two 3-cycles
+    "S4": [[1, 2, 3, 0], [1, 0, 2, 3]],
+    "S5": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],
+    "six-point": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]],
+}
+
+
+def reference_builtin(name):
+    """(table, generators) of a builtin group from the reference builders."""
+    kind, *args = name.split(":")
+    args = [int(a) for a in args]
+    if kind == "cyclic":
+        return cyclic_by_loops(*args)
+    if kind == "elab":
+        p, k = args
+        out = cyclic_by_loops(p)
+        for _ in range(k - 1):
+            out = direct_product_by_loops((*out, 0), (*cyclic_by_loops(p), 0))
+        return out
+    if kind == "dihedral":
+        return dihedral_by_loops(*args)
+    if kind == "quaternion8":
+        return quaternion_by_loops()
+    return unipotent_by_products(*args, bar=kind == "unipotent-bar")
+
+
+def assert_same_group(g, mul, gens=None, identity=0):
+    """g has table `mul` and identity, and its inverses, element orders and
+    generating set (`gens`, or the greedy set) match the reference loops."""
+    assert np.array_equal(g.mul, np.asarray(mul))
+    assert g.identity == identity
+    assert g.inv.tolist() == inverse_by_loops(mul, identity)
+    assert g.element_orders().tolist() == element_orders_by_loops(mul, identity)
+    if gens is None:
+        gens = greedy_generators_by_loops(mul, identity)
+    assert g.generating_set() == gens
 
 
 class TestCloseGenerators:
@@ -76,6 +135,107 @@ class TestConstructors:
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroup(np.asarray([[0, 1], [0, 1]]))
+
+
+class TestTableIdentity:
+    """Array-built tables equal the entry-by-entry reference builders."""
+
+    @pytest.mark.parametrize(
+        "name", SWEEP_P2 + SWEEP_P3 + ["unipotent:3:3", "unipotent-bar:3:3"]
+    )
+    def test_builtin(self, name):
+        g = builtin_group(name)
+        mul, gens = reference_builtin(name)
+        assert_same_group(g, mul, gens)
+        # the same table without generators takes the greedy set
+        assert_same_group(FiniteGroup(g.mul), mul)
+
+    @pytest.mark.parametrize("name", sorted(PERM_GROUPS))
+    def test_close_generators(self, name):
+        mul, gens = close_generators_by_loops(PERM_GROUPS[name])
+        assert_same_group(close_generators(PERM_GROUPS[name]), mul, gens)
+
+    @pytest.mark.parametrize("name", ["S4", "dihedral:4", "unipotent:2:3"])
+    def test_subgroups(self, name):
+        g = close_generators(PERM_GROUPS["S4"]) if name == "S4" else builtin_group(name)
+        for x, y in itertools.combinations(range(g.order), 2):
+            if (x + y) % 3:
+                continue  # a third of the pairs keeps the test quick
+            members = closure_by_loops(g.mul, [x, y], g.identity)
+            assert subgroup_closure(g, [x, y]) == members
+            k, emb = Subgroup(g, tuple(members)).as_group()
+            assert emb.tolist() == sorted(members)
+            if k is not g:  # the whole group is the parent itself
+                sub_mul, sub_identity = subgroup_by_loops(g.mul, members, g.identity)
+                assert_same_group(k, sub_mul, identity=sub_identity)
+
+    @pytest.mark.parametrize("name", SWEEP_P2 + SWEEP_P3 + ["S4"])
+    def test_frattini_quotient(self, name):
+        g = close_generators(PERM_GROUPS["S4"]) if name == "S4" else builtin_group(name)
+        for p in (2, 3):
+            q, proj = frattini_p_quotient(g, p)
+            mul, identity, ref_proj = frattini_by_loops(g.mul, p, g.identity)
+            assert_same_group(q, mul, identity=identity)
+            assert proj.tolist() == ref_proj
+
+
+class TestRejection:
+    def test_non_associative_loop(self):
+        assert not is_group_table(LOOP5)
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteGroup(np.asarray(LOOP5))
+
+    def test_greedy_bound(self, monkeypatch):
+        # x x = e and x y = x otherwise: each closure adds one element, so a
+        # greedy generating set would need n - 1 elements; the search stops
+        # after floor(log2 n) of them
+        n = 256
+        mul = np.tile(np.arange(n)[:, None], (1, n))
+        mul[0] = np.arange(n)
+        mul[np.arange(n), np.arange(n)] = 0
+        closures = []
+        closure = group_core.subgroup_closure
+
+        def counted(g, seeds):
+            closures.append(len(seeds))
+            return closure(g, seeds)
+
+        monkeypatch.setattr(group_core, "subgroup_closure", counted)
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteGroup(mul)
+        assert closures == list(range(1, 9))
+
+    def test_generators_must_generate(self):
+        with pytest.raises(ValueError, match="generator list does not generate"):
+            FiniteGroup(cyclic_group(6).mul, generators=[2])
+
+    @pytest.mark.parametrize("name", SWEEP_P2 + SWEEP_P3)
+    def test_perturbed_tables_match_oracle(self, name):
+        """Swapping two entries of a row (off the identity row and column)
+        keeps the identity and inverse laws; relabelling the elements keeps a
+        group.  FiniteGroup accepts exactly the tables the n^3 oracle does."""
+        g = builtin_group(name)
+        n = g.order
+        rng = np.random.default_rng(n)
+        verdicts = set()
+        for trial in range(6):
+            mul = g.mul.copy()
+            if trial % 3 == 2:
+                sigma = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                mul[np.ix_(sigma, sigma)] = sigma[g.mul]
+            elif n > 2:
+                a = rng.integers(1, n)
+                b, c = rng.choice(np.arange(1, n), size=2, replace=False)
+                mul[a, [b, c]] = mul[a, [c, b]]
+            expected = is_group_table(mul)
+            try:
+                FiniteGroup(mul)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected
+            verdicts.add(expected)
+        assert verdicts == ({True, False} if n > 2 else {True})
 
 
 class TestKernelOfCharacters:
@@ -160,6 +320,16 @@ class TestSubgroup:
         g = cyclic_group(4)
         with pytest.raises(ValueError):
             Subgroup(g, (0, 1))
+
+    @pytest.mark.parametrize(
+        "members, law",
+        [((0, 1), "inverse"), ((0, 2, 3, 4), "multiplication"), ((1, 2), "identity")],
+    )
+    def test_first_failing_law_named(self, members, law):
+        # in Z/6, member 1 lacks its inverse 5; member 2 has its inverse 4
+        # but 2 + 3 = 5 is missing
+        with pytest.raises(ValueError, match=law):
+            Subgroup(cyclic_group(6), members)
 
     def test_as_group(self):
         g = cyclic_group(6)
