@@ -11,7 +11,6 @@ realization of each target as a single symbol (a_i, x_i).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,13 +19,16 @@ from typing import Iterable
 
 from .brauer_q import (
     HALF,
+    REAL,
     BrauerClass2,
     Place,
     classes_equal,
     factorize,
+    hilbert_symbol,
     is_local_square,
     splits_in_multiquadratic,
 )
+from .fp_linalg import is_prime
 
 DEFAULT_AUX_PRIME_BOUND = int(
     os.environ.get("MASSEYBRAUER_AUX_PRIME_BOUND", 10**6)
@@ -45,13 +47,8 @@ def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _primes(limit: int):
-    yield 2
-    n = 3
-    while n <= limit:
-        if all(n % d for d in range(3, int(n**0.5) + 1, 2)):
-            yield n
-        n += 2
+def _odd_primes(limit: int):
+    return (n for n in range(3, limit + 1, 2) if is_prime(n))
 
 
 def find_v0(
@@ -66,9 +63,7 @@ def find_v0(
     if _is_perfect_square(a1):
         raise ValueError(f"{a1} is a global square")
     s_set = set(s_places)
-    for q in _primes(bound):
-        if q == 2:
-            continue
+    for q in _odd_primes(bound):
         v = Place.prime(q)
         if v in s_set or any(a % q == 0 for a in a_list):
             continue
@@ -107,11 +102,17 @@ def realize_as_cup(
 ) -> int:
     """An integer x with local invariants of (a, x) equal to `target` exactly.
 
-    Candidates are sign * d * w with d a divisor of the product of the
-    relevant primes (2, odd primes of the target, odd primes dividing a) and
-    w = 1 or a fresh auxiliary prime, scanned in increasing order; every
-    candidate is verified by recomputing all Hilbert symbols, so any returned
-    x is correct by construction.
+    x is the first hit of the scan over sign * d * w: w = 1, then the primes
+    up to `aux_prime_bound` outside the pool (2, the odd primes of a and of
+    the target); for each w, d runs over the divisors of the product of the
+    pool in increasing order, + before -.  The scan is not enumerated: the
+    Hilbert symbol is bimultiplicative, so on the places P = {inf} + pool the
+    invariants of (a, sign * d * w) are the F_2 sum of the bitmasks of
+    (a, -1), (a, q) for q | d and (a, w).  At w they vanish iff a is a square
+    mod w, and at every other place they vanish.  One elimination of the
+    |pool| + 1 columns serves every w; each w then costs one solve, and the
+    least solution under (d, sign) is picked from the coset c0 + kernel.  The
+    chosen x is checked once by recomputing every Hilbert symbol.
     """
     target = {v: f for v, f in target.items() if f}
     if any(f != HALF for f in target.values()):
@@ -127,30 +128,62 @@ def realize_as_cup(
         return 1
 
     relevant = {2}
-    relevant.update(q for q in factorize(a))
+    relevant.update(factorize(a))
     relevant.update(v.q for v in target if v.finite)
-    relevant.discard(0)
     pool = sorted(relevant)
-    divisors = sorted(
-        {
-            math.prod(combo)
-            for k in range(len(pool) + 1)
-            for combo in itertools.combinations(pool, k)
-        }
-    )
+    places = [REAL] + [Place.prime(q) for q in pool]
 
-    def candidates():
+    def mask(b: int) -> int:
+        # bit i set iff (a, b) ramifies at places[i]
+        return sum(
+            1 << i for i, v in enumerate(places) if hilbert_symbol(a, b, v) == -1
+        )
+
+    # column 0 is the sign -1, column j >= 1 the pool prime pool[j - 1]; a
+    # combination c is a bitmask over columns.  basis holds (pivot, value,
+    # combination) with distinct pivots, highest first.
+    basis: list[tuple[int, int, int]] = []
+    kernel: list[int] = []
+
+    def reduce(value: int, comb: int) -> tuple[int, int]:
+        for pivot, bvalue, bcomb in basis:
+            if value >> pivot & 1:
+                value ^= bvalue
+                comb ^= bcomb
+        return value, comb
+
+    for j, b in enumerate([-1] + pool):
+        value, comb = reduce(mask(b), 1 << j)
+        if value:
+            basis.append((value.bit_length() - 1, value, comb))
+            basis.sort(reverse=True)
+        else:
+            kernel.append(comb)
+
+    def key(comb: int) -> tuple[int, int]:
+        d = math.prod(q for j, q in enumerate(pool, 1) if comb >> j & 1)
+        return d, comb & 1
+
+    t = sum(1 << places.index(v) for v in target)
+
+    def auxiliary():
         yield 1
-        for q in _primes(aux_prime_bound):
-            if q not in relevant:
-                yield q
+        for w in _odd_primes(aux_prime_bound):
+            if w not in relevant and is_local_square(a, Place.prime(w)):
+                yield w
 
-    for w in candidates():
-        for d in divisors:
-            for sign in (1, -1):
-                x = sign * d * w
-                if BrauerClass2([(a, x)]).local_invariants() == target:
-                    return x
+    for w in auxiliary():
+        rest, c0 = reduce(t ^ mask(w), 0)
+        if rest:
+            continue
+        coset = [c0]
+        for k in kernel:
+            coset += [c ^ k for c in coset]
+        d, negative = key(min(coset, key=key))
+        x = (-1 if negative else 1) * d * w
+        if BrauerClass2([(a, x)]).local_invariants() != target:
+            raise RuntimeError(f"internal error: ({a}, {x}) misses its target")
+        return x
     raise SearchBoundExceeded(
         f"no x found with auxiliary primes below {aux_prime_bound}"
     )

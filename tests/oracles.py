@@ -5,17 +5,21 @@ symbol oracle decides solvability of z^2 = a x^2 + b y^2 by exhaustive
 residue enumeration (with a Hensel-lifting argument fixing the modulus), and
 the linear-algebra oracles enumerate vectors outright.  The group oracles
 test every group law on every triple, and the reference builders fill group
-tables one entry at a time from their defining formulas.
+tables one entry at a time from their defining formulas.  `realize_by_scan`
+finds x by trying every candidate of the documented scan order in turn.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from masseybrauer.brauer_q import Place
+from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
+from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
 
 
 @lru_cache(maxsize=None)
@@ -342,3 +346,62 @@ def frattini_by_loops(mul, p: int, identity: int = 0):
     pos = {r: i for i, r in enumerate(reps)}
     table = [[pos[rep[m[a][b]]] for b in reps] for a in reps]
     return table, pos[rep[identity]], [pos[rep[g]] for g in range(n)]
+
+
+def _primes(limit: int):
+    yield 2
+    n = 3
+    while n <= limit:
+        if all(n % d for d in range(3, int(n**0.5) + 1, 2)):
+            yield n
+        n += 2
+
+
+def realize_by_scan(
+    target: dict[Place, Fraction], a: int, aux_prime_bound: int = 10**6
+) -> int:
+    """`realize_as_cup` by exhaustive search: x = sign * d * w with w = 1 or
+    a prime outside the pool, d a divisor of the product of the pool
+    (ascending), + before -; every candidate's Hilbert symbols are
+    recomputed and the first exact hit is returned."""
+    target = {v: f for v, f in target.items() if f}
+    if any(f != HALF for f in target.values()):
+        raise ValueError("invariants must be 0 or 1/2")
+    if len(target) % 2:
+        raise ValueError("odd number of ramified places violates reciprocity")
+    for v in target:
+        if is_local_square(a, v):
+            raise NonSplittingError(
+                f"{a} is a local square at {v}; (a, x) cannot ramify there"
+            )
+    if not target:
+        return 1
+
+    relevant = {2}
+    relevant.update(q for q in factorize(a))
+    relevant.update(v.q for v in target if v.finite)
+    relevant.discard(0)
+    pool = sorted(relevant)
+    divisors = sorted(
+        {
+            math.prod(combo)
+            for k in range(len(pool) + 1)
+            for combo in itertools.combinations(pool, k)
+        }
+    )
+
+    def candidates():
+        yield 1
+        for q in _primes(aux_prime_bound):
+            if q not in relevant:
+                yield q
+
+    for w in candidates():
+        for d in divisors:
+            for sign in (1, -1):
+                x = sign * d * w
+                if BrauerClass2([(a, x)]).local_invariants() == target:
+                    return x
+    raise SearchBoundExceeded(
+        f"no x found with auxiliary primes below {aux_prime_bound}"
+    )

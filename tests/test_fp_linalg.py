@@ -11,6 +11,7 @@ from masseybrauer.fp_linalg import (
     Solver,
     _check_prime,
     in_row_space,
+    is_prime,
     kernel_basis,
     membership,
     row_space_basis,
@@ -145,6 +146,20 @@ class TestProperties:
             assert ok[k] == (single is not None)
             if single is not None:
                 assert np.array_equal(xs[:, k], single)
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        n = 10**4
+        sieve = [False, False] + [True] * (n - 2)
+        for q in range(2, n):
+            if sieve[q]:
+                sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+        assert [is_prime(m) for m in range(-3, n)] == [False] * 3 + sieve
+
+    def test_square_of_a_large_prime(self):
+        assert not is_prime(1000003**2)
+        assert is_prime(1000003)
 
 
 class TestModulusBound:

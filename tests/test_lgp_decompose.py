@@ -1,17 +1,24 @@
 import dataclasses
+import math
 import random
 
 import pytest
 
 from masseybrauer.brauer_q import (
     HALF,
+    REAL,
     BrauerClass2,
+    FactorBoundExceeded,
     Place,
     classes_equal,
+    factorize,
+    is_local_square,
     splits_in_multiquadratic,
 )
+from masseybrauer.fp_linalg import is_prime
 from masseybrauer.lgp_decompose import (
     NonSplittingError,
+    SearchBoundExceeded,
     _is_perfect_square,
     decompose,
     decompose_biquadratic,
@@ -20,6 +27,10 @@ from masseybrauer.lgp_decompose import (
     realize_as_cup,
     verify_certificate,
 )
+
+from oracles import realize_by_scan
+
+ODD_PRIMES = [q for q in range(3, 100) if is_prime(q)]
 
 
 class TestPerfectSquare:
@@ -107,6 +118,75 @@ class TestRealizeAsCup:
         # 2 is a square at 7, so (2, x) can never ramify there
         with pytest.raises(NonSplittingError):
             realize_as_cup({Place.prime(7): HALF, Place.prime(3): HALF}, 2)
+
+
+def _random_entry(rng: random.Random, kind: str) -> int:
+    if kind == "minus one":
+        return -1
+    a = math.prod(rng.sample(ODD_PRIMES, rng.randint(1, 3)))
+    if kind == "even":
+        a *= 2
+    if rng.random() < 0.15:
+        a *= 9  # even valuation at 3: the pool keeps 3 as a prime of a
+    if kind == "negative" or rng.random() < 0.3:
+        a = -a
+    return a
+
+
+class TestRealizeMatchesScan:
+    """The linear solve returns exactly the first hit of the exhaustive scan
+    over sign * d * w (w = 1, then primes outside the pool; d ascending; +
+    before -)."""
+
+    def test_seeded_random_targets(self):
+        rng = random.Random(2014)
+        kinds = ["odd", "even", "negative", "minus one"]
+        places = [REAL, Place.prime(2)] + [Place.prime(q) for q in ODD_PRIMES]
+        seen = {kind: 0 for kind in kinds}
+        real = two = auxiliary = 0
+        while sum(seen.values()) < 320:
+            kind = kinds[sum(seen.values()) % 4]
+            a = _random_entry(rng, kind)
+            ramifiable = [v for v in places if not is_local_square(a, v)]
+            if len(ramifiable) < 2:
+                continue
+            size = rng.choice([2, 2, 4]) if len(ramifiable) >= 4 else 2
+            target = {v: HALF for v in rng.sample(ramifiable, size)}
+            x = realize_as_cup(target, a)
+            assert x == realize_by_scan(target, a), (a, target)
+            seen[kind] += 1
+            real += REAL in target
+            two += Place.prime(2) in target
+            pool = {2, *factorize(a), *(v.q for v in target if v.finite)}
+            auxiliary += any(q not in pool for q in factorize(x))
+        # the draw covers every kind of entry, both special places and
+        # targets that need an auxiliary prime w > 1
+        assert min(seen.values()) == 80
+        assert real > 20 and two > 20 and auxiliary > 0
+
+    def test_auxiliary_prime_bound(self):
+        # -194 = -2 * 97: no x built from -1, 2 and 97 alone works, so x
+        # needs w = 5, and the bound on w is inclusive
+        target = {REAL: HALF, Place.prime(97): HALF}
+        assert realize_by_scan(target, -194) == -5
+        assert realize_as_cup(target, -194, aux_prime_bound=5) == -5
+        with pytest.raises(SearchBoundExceeded):
+            realize_as_cup(target, -194, aux_prime_bound=4)
+
+    def test_fourteen_odd_primes(self):
+        a = math.prod(ODD_PRIMES[:14])
+        target = {Place.prime(3): HALF, Place.prime(43): HALF}
+        x = realize_as_cup(target, a)
+        assert BrauerClass2([(a, x)]).local_invariants() == target
+
+    def test_huge_entry_raises_factor_bound(self):
+        # beyond trial division to 10**6: an explicit error, not a hang
+        a = -1000003 * 1000033
+        target = {REAL: HALF, Place.prime(2): HALF}
+        with pytest.raises(FactorBoundExceeded):
+            realize_as_cup(target, a)
+        with pytest.raises(FactorBoundExceeded):
+            decompose(BrauerClass2([(-1, -1)]), [a])
 
 
 class TestDecompose:
