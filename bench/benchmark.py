@@ -1,7 +1,8 @@
-"""Per-layer timings: the F_p row reduction kernel by matrix shape, and
-`realize_as_cup` by the number of odd primes of a.
+"""Per-layer timings: the F_p row reduction kernel by matrix shape,
+`realize_as_cup` by the number of odd primes of a, and `find_prescribed_hom`
+by source group and target.
 
-Run as:  python3 bench/benchmark.py [rref] [realize]   (default: both)
+Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom]   (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
 (the shapes H^2 reduces, here built whole) and random dense matrices, full
@@ -14,12 +15,22 @@ sign * d realizes for a divisor d of the pool, and a pair of places that
 no such sign * d realizes, so x needs an auxiliary prime w.  Each line
 gives k, the target, x and the time.
 
-Every time is the best of three calls, or one call when it takes over a
-second.
+The u-hom cases call `find_prescribed_hom` on every tuple of nonzero
+characters of the `massey-scan` groups (n = 2, 3, full and bar), on a
+seeded sample of 200 tuples of two order-27 groups (n = 3), on every tuple
+for U_4(F_2) as the source (n = 3), and on every tuple of `dihedral:8` and
+`elab:2:3` with the U_5(F_2) targets (n = 4, full and bar).  One untimed call
+per case builds the targets and what is memoized on the group; every other
+call is timed once.  Each line gives the case, the number of calls and of
+homs found, and the median and the largest call time in milliseconds.
+
+Every rref and realize time is the best of three calls, or one call when it
+takes over a second.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -29,9 +40,10 @@ import numpy as np
 from masseybrauer._kernels import rref
 from masseybrauer.brauer_q import HALF, Place
 from masseybrauer.catalog import builtin_group
-from masseybrauer.cochain_dga import coboundary_matrix
+from masseybrauer.cochain_dga import coboundary_matrix, get_ring
 from masseybrauer.fp_linalg import is_prime
 from masseybrauer.lgp_decompose import realize_as_cup
+from masseybrauer.unipotent import find_prescribed_hom
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -92,9 +104,52 @@ def bench_realize() -> None:
         print(f"{k:3d} {places:>10s} {x:14d} {t:9.4f}")
 
 
+# (source group, p, n values, bar values, sample size or None for all)
+_U_HOM = [
+    *[(name, p, (2, 3), (False, True), None) for name, p in [
+        ("elab:3:2", 3), ("cyclic:3", 3), ("elab:2:3", 2), ("dihedral:8", 2),
+        ("quaternion8", 2)]],
+    ("elab:3:3", 3, (3,), (False,), 200),
+    ("unipotent:2:3", 3, (3,), (False,), 200),
+    ("unipotent:3:2", 2, (3,), (False, True), None),
+    ("dihedral:8", 2, (4,), (False, True), None),
+    ("elab:2:3", 2, (4,), (False, True), None),
+]
+
+
+def u_hom_cases():
+    rng = np.random.default_rng(11)
+    for name, p, ns, bars, sample in _U_HOM:
+        g = builtin_group(name)
+        ring = get_ring(g, p)
+        coords = itertools.product(range(p), repeat=ring.basis(1).dim)
+        chars = [ring.character_from_coords(np.asarray(c)) for c in coords if any(c)]
+        for n in ns:
+            tuples = list(itertools.product(range(len(chars)), repeat=n))
+            if sample is not None:
+                tuples = [tuples[i] for i in rng.choice(len(tuples), sample, replace=False)]
+            for bar in bars:
+                label = f"{name}@{p} n={n}{' bar' if bar else ''}"
+                yield label, g, [[chars[i] for i in t] for t in tuples], n, bar
+
+
+def bench_u_hom() -> None:
+    print(f"{'case':28s} {'calls':>6s} {'found':>6s} {'median_ms':>10s} {'max_ms':>9s}")
+    for label, g, tuples, n, bar in u_hom_cases():
+        find_prescribed_hom(g, tuples[0], n, bar=bar)
+        times, found = [], 0
+        for chars in tuples:
+            t0 = time.perf_counter()
+            found += find_prescribed_hom(g, chars, n, bar=bar) is not None
+            times.append(time.perf_counter() - t0)
+        ms = 1e3 * np.asarray(times)
+        print(f"{label:28s} {len(ms):6d} {found:6d} {np.median(ms):10.3f} {ms.max():9.3f}")
+
+
 def main(sections: list[str]) -> None:
-    for name in sections or ["rref", "realize"]:
-        {"rref": bench_rref, "realize": bench_realize}[name]()
+    benches = {"rref": bench_rref, "realize": bench_realize, "u-hom": bench_u_hom}
+    for name in sections or list(benches):
+        benches[name]()
 
 
 if __name__ == "__main__":

@@ -125,20 +125,27 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
+def bfs_tree(group: FiniteGroup, seeds: Sequence[int]) -> list[tuple]:
+    """Breadth-first walk from the identity by right multiplication with
+    `seeds`: per level after the identity, (elements, parents, seed indices),
+    each element first found as parent * seeds[index], in discovery order."""
+    gens = np.asarray(seeds, dtype=np.int64)
+    seen = np.arange(group.order) == group.identity
+    levels, frontier = [], np.asarray([group.identity])
+    while frontier.size and gens.size:
+        cand = group.mul[np.ix_(frontier, gens)].ravel()
+        new = np.flatnonzero(~seen[cand])
+        found = new[np.sort(np.unique(cand[new], return_index=True)[1])]
+        levels.append((cand[found], frontier[found // gens.size], found % gens.size))
+        frontier = levels[-1][0]
+        seen[frontier] = True
+    return levels[:-1]  # the last level is empty
+
+
 def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> list[int]:
     """Elements of the subgroup generated by `seeds`, in BFS discovery order
     (within a level: by the element multiplied, then by seed)."""
-    gens = np.asarray(seeds, dtype=np.int64)
-    seen = np.zeros(group.order, dtype=bool)
-    levels = [np.asarray([group.identity])]
-    seen[group.identity] = True
-    while levels[-1].size:
-        cand = group.mul[np.ix_(levels[-1], gens)].ravel()
-        cand = cand[~seen[cand]]
-        _, first = np.unique(cand, return_index=True)
-        levels.append(cand[np.sort(first)])
-        seen[levels[-1]] = True
-    return np.concatenate(levels).tolist()
+    return np.concatenate([[group.identity]] + [lv[0] for lv in bfs_tree(group, seeds)]).tolist()
 
 
 def close_generators(perms: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:

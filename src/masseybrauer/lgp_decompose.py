@@ -12,7 +12,6 @@ realization of each target as a single symbol (a_i, x_i).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -30,9 +29,7 @@ from .brauer_q import (
 )
 from .fp_linalg import is_prime
 
-DEFAULT_AUX_PRIME_BOUND = int(
-    os.environ.get("MASSEYBRAUER_AUX_PRIME_BOUND", 10**6)
-)
+DEFAULT_AUX_PRIME_BOUND = 10**6
 
 
 class SearchBoundExceeded(RuntimeError):

@@ -4,7 +4,9 @@ and the dictionary between defining systems and prescribed homomorphisms.
 The dictionary sends an array (c_ij) of 1-cochains to the matrix map
 gamma(s)_ij = (-1)^(j-i) c_(i,j-1)(s); it is a homomorphism into the full
 group exactly when the array closes at every position, and into the central
-quotient when position (1,n) is allowed to fail.
+quotient when position (1,n) is allowed to fail.  A homomorphism with
+prescribed superdiagonal characters is found by one F_p solve over the
+entries of the generator images (`find_prescribed_hom`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import rref
 from .cochain_dga import Cochain
 from .fp_linalg import is_prime, row_space_basis
-from .group_core import Character, FiniteGroup
+from .group_core import Character, FiniteGroup, bfs_tree
 
 MAX_DIM = 5
 MAX_P = 5
@@ -57,21 +60,11 @@ class UnipotentGroup(FiniteGroup):
         for i, j in positions:
             mul = mul * p + mats[:, i, :] @ mats[:, :, j].T % p
 
-        gens = [
-            self._index_of(self._transvection(i)[None])[0] for i in range(n)
-        ]
-        super().__init__(
-            mul,
-            identity=0,
-            generators=gens,
-            name=f"unipotent{'-bar' if bar else ''}:{n}:{p}",
-        )
+        # the transvections I + E_(i,i+1): a single digit 1 in the index
+        gens = [p ** (len(positions) - 1 - positions.index((i, i + 1))) for i in range(n)]
+        name = f"unipotent{'-bar' if bar else ''}:{n}:{p}"
+        super().__init__(mul, identity=0, generators=gens, name=name)
         self.matrices.setflags(write=False)
-
-    def _transvection(self, i: int) -> np.ndarray:
-        m = np.eye(self.dim, dtype=np.int64)
-        m[i, i + 1] = 1
-        return m
 
     def _index_of(self, mats: np.ndarray) -> np.ndarray:
         """Indices of unipotent matrices (batch); inverse of the lexicographic
@@ -186,9 +179,21 @@ def find_prescribed_hom(
     n: int,
     bar: bool = False,
 ) -> GroupHom | None:
-    """A homomorphism G -> U_{n+1}(F_p) (or the bar quotient) whose
-    superdiagonal projections are the prescribed characters, found by
-    backtracking over generator images; None if none exists."""
+    """A homomorphism G -> U_{n+1}(F_p) (or the bar quotient) with the
+    prescribed superdiagonal characters, or None: the one whose tuple of
+    generator images (element indices, in `group.generating_set()` order) is
+    lexicographically least.
+
+    One F_p solve for the entries with j - i >= 2 of the generator images.
+    Extended to G along a BFS tree of the Cayley graph, every entry with
+    j - i <= 3 is affine in them (each product term has a superdiagonal
+    factor, a fixed character value); every other edge (g, s) gives the
+    equations rho(g s) = rho(g) rho(s).  The bilinear m_02 m_24 in the full
+    n = 4 corner is made affine by fixing the (0, 2) entries to each
+    solution of their own equations.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if len(chars) != n:
         raise ValueError(f"need exactly {n} characters")
     p = chars[0].p
@@ -196,83 +201,73 @@ def find_prescribed_hom(
         raise ValueError("characters on the wrong group or modulus")
     target = build_unipotent(n, p, bar)
     gens = group.generating_set()
-    superdiag = target.superdiagonal_table()
-    t_orders = target.element_orders()
-    g_orders = group.element_orders()
+    consts = np.repeat(np.eye(n + 1, dtype=np.int64)[None], len(gens), axis=0)
+    consts[:, range(n), range(1, n + 1)] = np.array([c.values for c in chars]).T[gens]
+    free = [(i, j) for i, j in target.positions if j - i >= 2]
 
-    # fiber of each prescribed superdiagonal, pre-pruned by the necessary
-    # condition ord(image) | ord(generator)
-    fibers = []
-    for g in gens:
-        want = np.asarray([c(g) for c in chars], dtype=np.int64)
-        fiber = np.nonzero(
-            (superdiag == want).all(axis=1) & (g_orders[g] % t_orders == 0)
-        )[0]
-        fibers.append([int(u) for u in fiber])
+    def least_images(consts, free):
+        """The image table whose generator images are least, with rho(s_k)
+        equal to consts[k] off `free`, or None.  Columns are reversed, so in
+        the RREF each pivot unknown is a constant minus free earlier
+        unknowns: with every free unknown 0, each coordinate in turn is as
+        small as the earlier ones allow."""
+        rows, forms = _equations(group, consts, free, p)
+        if rows[~rows[:, :-1].any(axis=1), -1].any():
+            return None  # a row 0 = c != 0 needs no elimination
+        red, pivots = rref(rows, p)
+        if len(pivots) and pivots[-1] == rows.shape[1] - 1:
+            return None
+        x = np.zeros(rows.shape[1])  # [x_{U-1}, ..., x_0, 1]
+        x[pivots], x[-1] = -red[: len(pivots), -1] % p, 1
+        return target._index_of(np.einsum("gicj,c->gij", forms, x).astype(np.int64) % p)
 
-    img = np.full(group.order, -1, dtype=np.int64)
-    img[group.identity] = target.identity
-    known: list[int] = [group.identity]
+    if (0, 4) not in free:
+        img = least_images(consts, free)
+    else:
+        rows, _ = _equations(group, consts, [(0, 2)], p)
+        fixes = np.asarray(list(itertools.product(range(p), repeat=len(gens))))
+        fixes = fixes[~(np.c_[fixes[:, ::-1], np.ones(len(fixes))] @ rows.T % p).any(axis=1)]
+        sliced = np.repeat(consts[None], len(fixes), axis=0)
+        sliced[:, :, 0, 2] = fixes
+        found = [least_images(c, free[1:]) for c in sliced]  # free[0] is (0, 2)
+        found = [f for f in found if f is not None]
+        img = min(found, key=lambda f: tuple(f[gens]), default=None)
+    return None if img is None else GroupHom(group, target, img)
 
-    gmul, tmul = group.mul, target.mul
 
-    def close(x: int, ux: int, trail: list[int]) -> bool:
-        """Assign img[x] = ux and close under products with known elements."""
-        queue = [(x, ux)]
-        while queue:
-            y, uy = queue.pop()
-            cur = img[y]
-            if cur >= 0:
-                if cur != uy:
-                    return False
-                continue
-            img[y] = uy
-            trail.append(y)
-            known.append(y)
-            for z in list(known):
-                queue.append((int(gmul[y, z]), int(tmul[uy, img[z]])))
-                queue.append((int(gmul[z, y]), int(tmul[img[z], uy])))
-        return True
+def _equations(group: FiniteGroup, consts: np.ndarray, free, p: int):
+    """Rows [coefficients | constant] of rho(g s) - rho(g) rho(s) = 0 at the
+    positions `free` for every g and generator s, and the affine matrices
+    rho(g) along a BFS tree; rho(s_k) is consts[k] with unknowns at `free`,
+    unknown u (by generator, then position) in column U - 1 - u.  Affine
+    matrices are arrays [i, column, j].  Their float64 products are exact
+    (entries are residues below MAX_P) and leave out products of two unknown
+    entries (none with j - i <= 3)."""
+    tree = group.cached("generator_tree", lambda: bfs_tree(group, group.generating_set()))
+    gens, dim = consts.shape[:2]
+    rows_at, cols_at = np.asarray(free, dtype=np.int64).reshape(-1, 2).T
+    cols = gens * len(free) + 1
+    lin = np.zeros((gens, dim, cols, dim))
+    u = np.arange(cols - 2, -1, -1).reshape(gens, len(free))
+    lin[np.arange(gens)[:, None], rows_at, u, cols_at] = 1
+    by_const = consts.transpose(1, 0, 2).reshape(dim, -1).astype(np.float64)
+    by_lin = lin.transpose(1, 2, 0, 3).reshape(dim, -1)
 
-    def undo(trail: list[int], known_len: int):
-        for y in trail:
-            img[y] = -1
-        del known[known_len:]
+    def times_generators(forms):  # [g, i, c, k, j]: forms[g] rho(s_k)
+        shape = (len(forms), dim, cols, gens, dim)
+        const_part = (forms.reshape(-1, dim) @ by_const).reshape(shape)
+        return const_part + (forms[:, :, -1].reshape(-1, dim) @ by_lin).reshape(shape)
 
-    def search(level: int) -> bool:
-        if level == len(gens):
-            return True
-        g = gens[level]
-        cur = img[g]
-        if cur >= 0:
-            # image forced by earlier closure; only the fiber constraint left
-            if int(cur) in fibers[level]:
-                return search(level + 1)
-            return False
-        for u in fibers[level]:
-            # cheap sound prune: commuting source generators need commuting
-            # images (full consistency is still enforced by close())
-            ok = True
-            for j in range(level):
-                gj = gens[j]
-                uj = int(img[gj])
-                if uj >= 0 and gmul[g, gj] == gmul[gj, g] and tmul[u, uj] != tmul[uj, u]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            trail: list[int] = []
-            mark = len(known)
-            if close(g, u, trail) and search(level + 1):
-                return True
-            undo(trail, mark)
-        return False
-
-    if not search(0):
-        return None
-    if (img < 0).any():
-        raise RuntimeError("generators did not generate the group")
-    return GroupHom(group, target, img.copy())
+    forms = np.zeros((group.order, dim, cols, dim))
+    forms[group.identity, :, -1] = np.eye(dim)
+    for kids, parents, via in tree:
+        step = times_generators(forms[parents])[np.arange(len(kids)), :, :, via]
+        forms[kids] = np.fmod(step, p)  # nonnegative: fmod is % without its float cost
+    prod = times_generators(forms)[:, rows_at, :, :, cols_at]
+    ends = group.mul[:, group.generating_set()]
+    rows = forms[:, rows_at, :, cols_at][:, ends] - prod.transpose(0, 1, 3, 2)
+    rows = rows.reshape(-1, cols).astype(np.int64) % p
+    return rows[rows.any(axis=1)], forms
 
 
 def check_surjective(hom: GroupHom) -> bool:

@@ -6,7 +6,9 @@ residue enumeration (with a Hensel-lifting argument fixing the modulus), and
 the linear-algebra oracles enumerate vectors outright.  The group oracles
 test every group law on every triple, and the reference builders fill group
 tables one entry at a time from their defining formulas.  `realize_by_scan`
-finds x by trying every candidate of the documented scan order in turn.
+finds x by trying every candidate of the documented scan order in turn, and
+`prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
+depth-first search over generator images.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
+from masseybrauer.group_core import Character, FiniteGroup
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
+from masseybrauer.unipotent import GroupHom, build_unipotent
 
 
 @lru_cache(maxsize=None)
@@ -405,3 +409,101 @@ def realize_by_scan(
     raise SearchBoundExceeded(
         f"no x found with auxiliary primes below {aux_prime_bound}"
     )
+
+
+def prescribed_hom_by_backtracking(
+    group: FiniteGroup,
+    chars: list[Character],
+    n: int,
+    bar: bool = False,
+) -> GroupHom | None:
+    """`find_prescribed_hom` by depth-first search: generator images are
+    tried in element-index order within each prescribed fiber (pruned by
+    element orders and by commuting generators), every assignment is closed
+    under products with the known images, and the first complete
+    assignment is returned, which is the lexicographically least tuple of
+    generator images; None if none exists."""
+    if len(chars) != n:
+        raise ValueError(f"need exactly {n} characters")
+    p = chars[0].p
+    if any(c.group is not group or c.p != p for c in chars):
+        raise ValueError("characters on the wrong group or modulus")
+    target = build_unipotent(n, p, bar)
+    gens = group.generating_set()
+    superdiag = target.superdiagonal_table()
+    t_orders = target.element_orders()
+    g_orders = group.element_orders()
+
+    # fiber of each prescribed superdiagonal, pre-pruned by the necessary
+    # condition ord(image) | ord(generator)
+    fibers = []
+    for g in gens:
+        want = np.asarray([c(g) for c in chars], dtype=np.int64)
+        fiber = np.nonzero(
+            (superdiag == want).all(axis=1) & (g_orders[g] % t_orders == 0)
+        )[0]
+        fibers.append([int(u) for u in fiber])
+
+    img = np.full(group.order, -1, dtype=np.int64)
+    img[group.identity] = target.identity
+    known: list[int] = [group.identity]
+
+    gmul, tmul = group.mul, target.mul
+
+    def close(x: int, ux: int, trail: list[int]) -> bool:
+        """Assign img[x] = ux and close under products with known elements."""
+        queue = [(x, ux)]
+        while queue:
+            y, uy = queue.pop()
+            cur = img[y]
+            if cur >= 0:
+                if cur != uy:
+                    return False
+                continue
+            img[y] = uy
+            trail.append(y)
+            known.append(y)
+            for z in list(known):
+                queue.append((int(gmul[y, z]), int(tmul[uy, img[z]])))
+                queue.append((int(gmul[z, y]), int(tmul[img[z], uy])))
+        return True
+
+    def undo(trail: list[int], known_len: int):
+        for y in trail:
+            img[y] = -1
+        del known[known_len:]
+
+    def search(level: int) -> bool:
+        if level == len(gens):
+            return True
+        g = gens[level]
+        cur = img[g]
+        if cur >= 0:
+            # image forced by earlier closure; only the fiber constraint left
+            if int(cur) in fibers[level]:
+                return search(level + 1)
+            return False
+        for u in fibers[level]:
+            # cheap sound prune: commuting source generators need commuting
+            # images (full consistency is still enforced by close())
+            ok = True
+            for j in range(level):
+                gj = gens[j]
+                uj = int(img[gj])
+                if uj >= 0 and gmul[g, gj] == gmul[gj, g] and tmul[u, uj] != tmul[uj, u]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            trail: list[int] = []
+            mark = len(known)
+            if close(g, u, trail) and search(level + 1):
+                return True
+            undo(trail, mark)
+        return False
+
+    if not search(0):
+        return None
+    if (img < 0).any():
+        raise RuntimeError("generators did not generate the group")
+    return GroupHom(group, target, img.copy())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,29 @@ class TestExitCodes:
         argv = ["group", command, "--group", "cyclic:2", "--p", str(2**31 - 1)]
         code, data = run_json(capsys, argv + (["--degree", "2"] if command == "cohomology" else []))
         assert code == 1 and "exactness bound" in data["error"]
+
+    @pytest.mark.parametrize("n,chars", [(0, "[]"), (1, "[[1]]")])
+    def test_u_hom_n_below_two_is_1(self, capsys, n, chars):
+        code, data = run_json(
+            capsys,
+            ["group", "u-hom", "--group", "cyclic:4", "--p", "2",
+             "--chars", chars, "--n", str(n)],
+        )
+        assert code == 1 and "at least 2" in data["error"]
+
+    def test_malformed_aux_bound_variable_is_ignored(self):
+        # the auxiliary-prime bound is a constant; a malformed value in the
+        # variable that once set it must not break any command
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, MASSEYBRAUER_AUX_PRIME_BOUND="abc")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["group", "cohomology", "--group", "cyclic:2", "--p", "2", "--degree", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", "from masseybrauer.cli import main; main()", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["dim"] == 1
 
     def test_bad_char_length_is_1(self, capsys):
         code, data = run_json(

@@ -5,7 +5,7 @@ import pytest
 
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import Cochain, cup, differential, get_ring
-from masseybrauer.group_core import Character, cyclic_group
+from masseybrauer.group_core import Character, FiniteGroup, close_generators, cyclic_group
 from masseybrauer.massey import DefiningSystem, find_triple_defining_system, tilde
 from masseybrauer.unipotent import (
     GroupHom,
@@ -15,6 +15,7 @@ from masseybrauer.unipotent import (
     frattini_criterion,
     gamma_from_system,
 )
+from oracles import prescribed_hom_by_backtracking
 
 
 class TestBuildUnipotent:
@@ -165,6 +166,87 @@ class TestFindPrescribedHom:
         chi = get_ring(g, 2).h1_characters()[0]
         with pytest.raises(ValueError):
             find_prescribed_hom(g, [chi], 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_n_below_two_is_value_error(self, n):
+        g = cyclic_group(4)
+        chi = get_ring(g, 2).h1_characters()[0]
+        with pytest.raises(ValueError, match="at least 2"):
+            find_prescribed_hom(g, [chi] * n, n)
+
+
+def _all_characters(g, p):
+    ring = get_ring(g, p)
+    coords = itertools.product(range(p), repeat=ring.basis(1).dim)
+    return [ring.character_from_coords(np.asarray(c, dtype=np.int64)) for c in coords]
+
+
+def _tuples(chars, n, sample=None, seed=0):
+    """Every tuple of n characters but the all-zero one, or a seeded sample."""
+    tuples = [t for t in itertools.product(chars, repeat=n) if any(c.values.any() for c in t)]
+    if sample is not None and sample < len(tuples):
+        rng = np.random.default_rng(seed)
+        tuples = [tuples[i] for i in rng.choice(len(tuples), sample, replace=False)]
+    return tuples
+
+
+def _assert_matches_backtracking(g, p, ns, bars, sample=None):
+    chars = _all_characters(g, p)
+    for n in ns:
+        for t in _tuples(chars, n, sample, seed=n):
+            for bar in bars:
+                got = find_prescribed_hom(g, list(t), n, bar=bar)
+                want = prescribed_hom_by_backtracking(g, list(t), n, bar=bar)
+                where = (g.name, n, bar, [c.values.tolist() for c in t])
+                assert (got is None) == (want is None), where
+                if got is not None:
+                    assert np.array_equal(got.images, want.images), where
+
+
+# the source groups of the prescribed-hom calls of the massey-scan benchmark
+SCAN_HOM_GROUPS = [
+    ("elab:3:2", 3), ("cyclic:3", 3), ("elab:2:3", 2), ("dihedral:8", 2), ("quaternion8", 2),
+]
+
+
+class TestMatchesBacktracking:
+    """The solve returns exactly the hom of the old depth-first search: the
+    lexicographically least tuple of generator images, or None."""
+
+    @pytest.mark.parametrize("name,p", SCAN_HOM_GROUPS)
+    def test_every_tuple_n2_n3(self, name, p):
+        _assert_matches_backtracking(builtin_group(name), p, (2, 3), (False, True))
+
+    @pytest.mark.parametrize(
+        "name,sample",
+        [("cyclic:2", None), ("cyclic:4", None), ("cyclic:8", None), ("elab:2:2", None),
+         ("dihedral:4", 40), ("unipotent:2:2", 60), ("quaternion8", 16), ("elab:2:3", 120)],
+    )
+    def test_n4_full_and_bar_order_8(self, name, sample):
+        _assert_matches_backtracking(builtin_group(name), 2, (4,), (False, True), sample)
+
+    def test_s4_with_repeated_and_redundant_generators(self):
+        # (0 1) twice, and (2 3), which the 4-cycle and (0 1) already give
+        g = close_generators([[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [0, 1, 3, 2]])
+        assert g.generating_set() == [1, 2, 1, 3]
+        _assert_matches_backtracking(g, 2, (2, 3, 4), (False, True))
+
+    @pytest.mark.parametrize("order,gens", [(8, [1, 2]), (8, [3, 1]), (16, [1, 7])])
+    def test_n4_corner_with_redundant_generator(self, order, gens):
+        # the redundant generator ties the (0, 2) entries and forces a nonzero
+        # one, so the full n = 4 corner meets the bilinear term m_02 m_24
+        g = FiniteGroup(cyclic_group(order).mul, generators=gens)
+        _assert_matches_backtracking(g, 2, (2, 3, 4), (False, True))
+        chi = _all_characters(g, 2)[1]
+        assert find_prescribed_hom(g, [chi] * 4, 4) is not None
+
+    def test_u4_f2_as_source(self):
+        g = builtin_group("unipotent:3:2")
+        _assert_matches_backtracking(g, 2, (2, 3), (False, True), sample=80)
+
+    @pytest.mark.parametrize("name", ["elab:3:3", "unipotent:2:3", "cyclic:27"])
+    def test_order_27_sample(self, name):
+        _assert_matches_backtracking(builtin_group(name), 3, (2, 3), (False, True), sample=25)
 
 
 class TestDictionaryVsMassey:
