@@ -1,8 +1,8 @@
 """Per-layer timings: the F_p row reduction kernel by matrix shape,
-`realize_as_cup` by the number of odd primes of a, and `find_prescribed_hom`
-by source group and target.
+`realize_as_cup` by the number of odd primes of a, `find_prescribed_hom`
+by source group and target, and cold H^1 + H^2 bases by group.
 
-Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom]   (default: all)
+Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom] [h2]   (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
 (the shapes H^2 reduces, here built whole) and random dense matrices, full
@@ -24,6 +24,12 @@ per case builds the targets and what is memoized on the group; every other
 call is timed once.  Each line gives the case, the number of calls and of
 homs found, and the median and the largest call time in milliseconds.
 
+The h2 cases build a fresh `CohomologyRing` and its H^1 and H^2 bases in a
+new interpreter for each group: the `h2-cold` benchmark set, groups of order
+27 and 32, and `elab:2:6` and `unipotent:3:2` of order 64.  Each line gives
+the group, p, dim H^1 and dim H^2, the time of the two bases (the group is
+built before the clock starts) and the peak RSS of that process in MB.
+
 Every rref and realize time is the best of three calls, or one call when it
 takes over a second.
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
 import sys
 import time
 
@@ -146,8 +153,41 @@ def bench_u_hom() -> None:
         print(f"{label:28s} {len(ms):6d} {found:6d} {np.median(ms):10.3f} {ms.max():9.3f}")
 
 
+_H2 = [
+    ("cyclic:2", 2), ("cyclic:4", 2), ("cyclic:8", 2), ("cyclic:16", 2),
+    ("elab:2:2", 2), ("elab:2:3", 2), ("elab:2:4", 2), ("dihedral:4", 2),
+    ("dihedral:8", 2), ("quaternion8", 2), ("unipotent:2:2", 2),
+    ("dihedral:12", 2), ("cyclic:9", 3), ("elab:3:2", 3), ("cyclic:18", 3),
+    ("cyclic:20", 5), ("elab:3:3", 3), ("unipotent:2:3", 3), ("cyclic:32", 2),
+    ("elab:2:5", 2), ("dihedral:16", 2), ("elab:2:6", 2), ("unipotent:3:2", 2),
+]
+
+# one cold ring in the child: prints dim H^1, dim H^2, seconds, peak RSS in MB
+_H2_CHILD = """
+import resource, sys, time
+from masseybrauer.catalog import builtin_group
+from masseybrauer.cochain_dga import CohomologyRing
+g, p = builtin_group(sys.argv[1]), int(sys.argv[2])
+t0 = time.perf_counter()
+ring = CohomologyRing(g, p)
+dims = ring.basis(1).dim, ring.basis(2).dim
+t = time.perf_counter() - t0
+print(*dims, t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def bench_h2() -> None:
+    print(f"{'group':16s} {'p':>2s} {'h1':>3s} {'h2':>3s} {'seconds':>9s} {'peak_mb':>8s}")
+    for name, p in _H2:
+        argv = [sys.executable, "-c", _H2_CHILD, name, str(p)]
+        h1, h2, t, rss = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+        print(f"{name:16s} {p:2d} {h1:>3s} {h2:>3s} {float(t):9.3f} {float(rss):8.1f}")
+
+
 def main(sections: list[str]) -> None:
-    benches = {"rref": bench_rref, "realize": bench_realize, "u-hom": bench_u_hom}
+    benches = {
+        "rref": bench_rref, "realize": bench_realize, "u-hom": bench_u_hom, "h2": bench_h2,
+    }
     for name in sections or list(benches):
         benches[name]()
 

@@ -154,7 +154,7 @@ def _cmd_group_massey(args) -> dict:
 
 def _cmd_group_scan(args) -> dict:
     g = _load_group(args.group)
-    report = massey.scan_vanishing(g, args.p, jobs=args.jobs)
+    report = massey.scan_vanishing(g, args.p)
     return {
         "holds": report.holds,
         "witnesses": [

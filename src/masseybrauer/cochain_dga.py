@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BLOCK_ROWS, rref, rref_blocks
+from ._kernels import BLOCK_ROWS, rref_blocks
 from .fp_linalg import Solver, _check_prime, _freeze, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, Subgroup
 
@@ -128,20 +128,19 @@ def restrict(c: Cochain, sub: Subgroup) -> Cochain:
 
 
 def coboundary_matrix(
-    group: FiniteGroup, p: int, degree: int, rows: tuple[int, int] | None = None
+    group: FiniteGroup, p: int, degree: int, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Matrix of d: C^degree -> C^(degree+1) on flattened value tables, or
-    only its rows start..stop-1 for rows = (start, stop)."""
+    only the rows with the given indices."""
     if degree not in (0, 1, 2):
         raise ValueError("coboundary matrix only built for degrees 0..2")
     n = group.order
     mul = group.mul
-    start, stop = rows if rows is not None else (0, n ** (degree + 1))
-    m = np.zeros((stop - start, n**degree), dtype=np.int64)
+    idx = np.arange(n ** (degree + 1)) if rows is None else np.asarray(rows, dtype=np.int64)
+    m = np.zeros((len(idx), n**degree), dtype=np.int64)
     if degree == 0:
         return m
-    idx = np.arange(start, stop)
-    at = idx - start
+    at = np.arange(len(idx))
     if degree == 1:
         g, h = np.divmod(idx, n)
         np.add.at(m, (at, g), 1)
@@ -159,13 +158,14 @@ def coboundary_matrix(
 
 @dataclass
 class CohomologyBasis:
-    """H^degree data: representative cocycles, the coboundary space, and a
-    precomputed solver giving coordinates of any cocycle in the basis."""
+    """H^degree data: representative cocycles and a precomputed solver on
+    [d^(degree-1) | Z^T] whose solution entries at `_rep_cols` are the
+    coordinates of a cocycle in the basis."""
 
     degree: int
     representatives: list[Cochain]
-    coboundaries: np.ndarray  # basis rows of B^degree (flattened)
-    _solver: Solver | None
+    _solver: Solver
+    _rep_cols: np.ndarray
     p: int
 
     @property
@@ -181,21 +181,17 @@ class CohomologyBasis:
         return self.coordinates_unchecked(z.flat())
 
     def coordinates_unchecked(self, flat: np.ndarray) -> np.ndarray:
-        if self._solver is None:
-            return np.zeros(0, dtype=np.int64)
         x = self._solver.solve(flat)
         if x is None:  # cannot happen for a true cocycle: the basis spans Z
             raise ValueError("vector outside the cocycle space")
-        return x[: self.dim]
+        return x[self._rep_cols]
 
     def coordinates_batch(self, flats: np.ndarray) -> np.ndarray:
         """Coordinates for many flattened cocycles (one per column)."""
-        if self._solver is None:
-            return np.zeros((0, flats.shape[1]), dtype=np.int64)
         x, ok = self._solver.solve_many(flats)
         if not ok.all():
             raise ValueError("vector outside the cocycle space")
-        return x[: self.dim]
+        return x[self._rep_cols]
 
 
 class CohomologyRing:
@@ -225,30 +221,30 @@ class CohomologyRing:
     def _compute(self, degree: int) -> CohomologyBasis:
         g, p = self.group, self.p
         n = g.order
-        rows = n ** (degree + 1)
-        # Z^degree = ker d^degree, reduced from row blocks of d^degree: the
-        # |G|^3 x |G|^2 matrix of d^2 is never built
+        # Z^degree = ker d^degree, reduced from the rows whose last argument k
+        # is e or a generator s.  d(df) = 0 writes df(.., ks) through df(.., k)
+        # and df(.., s), so these rows have the kernel, hence the RREF, of
+        # all of d^degree (|G|^3 x |G|^2 for d^2, never built)
+        ks = sorted({g.identity, *g.generating_set()})
+        rows = (np.arange(n**degree)[:, None] * n + ks).ravel()
         red, pivots = rref_blocks(
             (
-                coboundary_matrix(g, p, degree, (lo, min(lo + BLOCK_ROWS, rows)))
-                for lo in range(0, rows, BLOCK_ROWS)
+                coboundary_matrix(g, p, degree, rows[lo : lo + BLOCK_ROWS])
+                for lo in range(0, len(rows), BLOCK_ROWS)
             ),
             n**degree,
             p,
         )
         z = null_space_rows(red, pivots, p)
-        # B^degree = column space of d^(degree-1), as echelon rows
-        b_rows = row_space_basis(coboundary_matrix(g, p, degree - 1).T, p)
-        # extend B to Z: the cocycles among the pivot columns of [B; Z]^T are
-        # those outside the span of B and the cocycles before them
-        _, piv = rref(np.concatenate([b_rows, z]).T, p)
-        reps = z[piv[piv >= len(b_rows)] - len(b_rows)]
-        rep_cochains = [
-            Cochain(g, p, degree, v.reshape((n,) * degree)) for v in reps
-        ]
-        spanning = np.concatenate([reps, b_rows])
-        solver = Solver(spanning.T, p) if len(spanning) else None
-        return CohomologyBasis(degree, rep_cochains, b_rows, solver, p)
+        # the pivot columns of [d^(degree-1) | Z^T] after the B part are the
+        # cocycles outside B and the span of the cocycles before them
+        nb = n ** (degree - 1)
+        solver = Solver(np.concatenate([coboundary_matrix(g, p, degree - 1), z.T], axis=1), p)
+        rep_cols = solver.pivots[solver.pivots >= nb]
+        reps = [Cochain(g, p, degree, v.reshape((n,) * degree)) for v in z[rep_cols - nb]]
+        if not all(differential(c).is_zero() for c in reps):
+            raise RuntimeError("internal error: a representative is not a cocycle")
+        return CohomologyBasis(degree, reps, solver, rep_cols, p)
 
     # convenience views -----------------------------------------------------
 

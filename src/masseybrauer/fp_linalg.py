@@ -30,7 +30,7 @@ def is_prime(n: int) -> bool:
 # residues is then below 2^32, so a dot product of fewer than 2^21 of them is
 # below 2^53: exact in float64 (elimination, Solver) and int64 (cup
 # products).  Elimination rejects 2^21 or more columns (_kernels.MAX_COLS),
-# which also bounds a Solver's rows: it eliminates [A | I].
+# which also bounds a Solver's rows: it eliminates [A[:, P]^T | I].
 MAX_PRIME = 65521
 
 
@@ -113,24 +113,27 @@ class FpMatrix:
 
 
 class Solver:
-    """Precomputed elimination of a fixed matrix for many right-hand sides.
+    """Precomputed elimination of a fixed matrix A for many right-hand sides.
 
-    Row-reduces [A | I] once; solve(b) is then a single mat-vec plus a
-    consistency check.  Solutions set all free variables to zero, matching
-    plain Gaussian elimination with leftmost pivots.
+    RREF(A) gives the pivot columns P; RREF([A[:, P]^T | I]) gives rank
+    independent rows R of A[:, P] and the inverse of A[R, P].  A solve is
+    x_P = A[R, P]^-1 b[R] plus one exact check A[:, P] x_P = b.  Free
+    variables are zero, matching plain Gaussian elimination with leftmost
+    pivots; columns whose ok flag is False hold no solution.
     """
 
     def __init__(self, a: np.ndarray, p: int):
         self.p = _check_prime(p)
         a = np.asarray(a, dtype=np.int64) % p
         self.rows, self.cols = a.shape
-        aug = np.concatenate([a, np.eye(self.rows, dtype=np.int64)], axis=1)
-        red, pivots = rref(aug, p)
-        # pivots landing in the identity block are rank deficiencies of A
-        self.pivots = pivots[pivots < self.cols]
-        self.rank = len(self.pivots)
-        # float64 once: every solve is one BLAS product, exact by MAX_PRIME
-        self.transform = red[:, self.cols :].astype(np.float64)
+        self.pivots = rref(a, p)[1]
+        a_piv = a[:, self.pivots]
+        red, self._basis_rows = rref(
+            np.concatenate([a_piv.T, np.eye(len(self.pivots), dtype=np.int64)], axis=1), p
+        )
+        # float64 once: every solve is two BLAS products, exact by MAX_PRIME
+        self._inverse = np.ascontiguousarray(red[:, self.rows :].T, dtype=np.float64)
+        self._a_piv = np.ascontiguousarray(a_piv, dtype=np.float64)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """A solution x of A x = b, or None if the system is inconsistent."""
@@ -146,12 +149,12 @@ class Solver:
         Returns (solutions, ok) where solutions has one column per rhs and
         ok flags consistent systems.
         """
-        # C order: BLAS is several times slower on a transposed, narrow b
         b = np.ascontiguousarray(b, dtype=np.int64) % self.p
-        y = (self.transform @ b.astype(np.float64)).astype(np.int64) % self.p
-        ok = ~y[self.rank :].any(axis=0)
+        # residues reduced as integers: np.mod on float64 is several times slower
+        y = (self._inverse @ b[self._basis_rows].astype(np.float64)).astype(np.int64) % self.p
+        ok = ((self._a_piv @ y.astype(np.float64)).astype(np.int64) % self.p == b).all(axis=0)
         x = np.zeros((self.cols, b.shape[1]), dtype=np.int64)
-        x[self.pivots] = y[: self.rank]
+        x[self.pivots] = y
         return x, ok
 
 

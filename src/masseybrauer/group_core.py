@@ -325,6 +325,8 @@ def frattini_p_quotient(
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("n must be positive")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(mul, generators=[1 % n] if n > 1 else [0], name=f"cyclic:{n}")
@@ -347,6 +349,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGrou
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("k must be positive")
     g = cyclic_group(p)
     out = g
     for _ in range(k - 1):

@@ -202,13 +202,13 @@ class ScanReport:
 _SCAN_CELLS = 1 << 18
 
 
-def scan_vanishing(group: FiniteGroup, p: int, jobs: int = 1) -> ScanReport:
+def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
     """Check the vanishing triple Massey product property on every ordered
     triple of H^1 elements (zero and repeats included).  Batched: one solve
     gives all c_ij; blocks of representatives -(chi_i u c_jk + c_ij u chi_k)
     get H^2 coordinates from solves that also check exactly that they are
     cocycles; containment is tested per (i, k).  Entries equal
-    `triple_massey_set` + `contains_zero`; `jobs` is accepted, no effect."""
+    `triple_massey_set` + `contains_zero`."""
     ring = get_ring(group, p)
     h2 = ring.basis(2)
     n = group.order

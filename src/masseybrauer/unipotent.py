@@ -23,6 +23,8 @@ from .group_core import Character, FiniteGroup, bfs_tree
 
 MAX_DIM = 5
 MAX_P = 5
+# the largest target order: its int64 table has 4096^2 entries, 134 MB
+MAX_ORDER = 4096
 
 
 class UnipotentGroup(FiniteGroup):
@@ -47,6 +49,8 @@ class UnipotentGroup(FiniteGroup):
         self.dim = dim
         self.positions = positions
         order = p ** len(positions)
+        if order > MAX_ORDER:
+            raise ValueError(f"size guard: refuse a target of order {order} > {MAX_ORDER}")
 
         mats = np.zeros((order, dim, dim), dtype=np.int64)
         mats[:, range(dim), range(dim)] = 1

@@ -8,7 +8,9 @@ test every group law on every triple, and the reference builders fill group
 tables one entry at a time from their defining formulas.  `realize_by_scan`
 finds x by trying every candidate of the documented scan order in turn, and
 `prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
-depth-first search over generator images.
+depth-first search over generator images.  `cohomology_by_full_stream`
+builds an H^degree basis from all of d^degree, with an [A | I]
+`TransformSolver` for coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
+from masseybrauer.cochain_dga import coboundary_matrix
+from masseybrauer.fp_linalg import null_space_rows, row_space_basis
 from masseybrauer.group_core import Character, FiniteGroup
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
 from masseybrauer.unipotent import GroupHom, build_unipotent
@@ -507,3 +512,60 @@ def prescribed_hom_by_backtracking(
     if (img < 0).any():
         raise RuntimeError("generators did not generate the group")
     return GroupHom(group, target, img.copy())
+
+
+class TransformSolver:
+    """Precomputed elimination of a fixed matrix for many right-hand sides.
+
+    Row-reduces [A | I] once; solve(b) is then a single mat-vec plus a
+    consistency check.  Solutions set all free variables to zero, matching
+    plain Gaussian elimination with leftmost pivots.
+    """
+
+    def __init__(self, a: np.ndarray, p: int):
+        self.p = p
+        a = np.asarray(a, dtype=np.int64) % p
+        self.rows, self.cols = a.shape
+        aug = np.concatenate([a, np.eye(self.rows, dtype=np.int64)], axis=1)
+        red, pivots = rref(aug, p)
+        # pivots landing in the identity block are rank deficiencies of A
+        self.pivots = pivots[pivots < self.cols]
+        self.rank = len(self.pivots)
+        self.transform = red[:, self.cols :].astype(np.float64)
+
+    def solve_many(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = np.ascontiguousarray(b, dtype=np.int64) % self.p
+        y = (self.transform @ b.astype(np.float64)).astype(np.int64) % self.p
+        ok = ~y[self.rank :].any(axis=0)
+        x = np.zeros((self.cols, b.shape[1]), dtype=np.int64)
+        x[self.pivots] = y[: self.rank]
+        return x, ok
+
+
+def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
+    """H^degree from every row of d^degree: (Z basis rows, representative
+    rows, TransformSolver on [reps; B]^T or None).  The coordinates of a
+    cocycle are the first len(reps) solution entries."""
+    g = group
+    n = g.order
+    rows = n ** (degree + 1)
+    # Z^degree = ker d^degree, reduced from row blocks of d^degree: the
+    # |G|^3 x |G|^2 matrix of d^2 is never built
+    red, pivots = rref_blocks(
+        (
+            coboundary_matrix(g, p, degree, np.arange(lo, min(lo + BLOCK_ROWS, rows)))
+            for lo in range(0, rows, BLOCK_ROWS)
+        ),
+        n**degree,
+        p,
+    )
+    z = null_space_rows(red, pivots, p)
+    # B^degree = column space of d^(degree-1), as echelon rows
+    b_rows = row_space_basis(coboundary_matrix(g, p, degree - 1).T, p)
+    # extend B to Z: the cocycles among the pivot columns of [B; Z]^T are
+    # those outside the span of B and the cocycles before them
+    _, piv = rref(np.concatenate([b_rows, z]).T, p)
+    reps = z[piv[piv >= len(b_rows)] - len(b_rows)]
+    spanning = np.concatenate([reps, b_rows])
+    solver = TransformSolver(spanning.T, p) if len(spanning) else None
+    return z, reps, solver

@@ -228,6 +228,12 @@ class TestExitCodes:
         )
         assert code == 1 and "error" in data
 
+    @pytest.mark.parametrize("name", ["elab:2:0", "elab:3:-1", "cyclic:0"])
+    def test_empty_product_or_cycle_is_1(self, capsys, name):
+        argv = ["group", "cohomology", "--group", name, "--p", "2", "--degree", "1"]
+        code, data = run_json(capsys, argv)
+        assert code == 1 and "must be positive" in data["error"]
+
     @pytest.mark.parametrize("command", ["cohomology", "scan-vanishing"])
     def test_modulus_over_bound_is_1(self, capsys, command):
         argv = ["group", command, "--group", "cyclic:2", "--p", str(2**31 - 1)]

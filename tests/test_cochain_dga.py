@@ -27,6 +27,8 @@ from masseybrauer.group_core import (
     whole_group,
 )
 
+from oracles import TransformSolver, cohomology_by_full_stream
+
 RNG = np.random.default_rng(20240817)
 
 
@@ -76,13 +78,13 @@ class TestDifferential:
                 (m @ c.flat()) % 2, differential(c).flat()
             )
 
-    def test_row_range_matches_full_matrix(self):
+    def test_selected_rows_match_full_matrix(self):
         g = builtin_group("dihedral:4")
         for degree in (0, 1, 2):
             full = coboundary_matrix(g, 3, degree)
             n = len(full)
-            for lo, hi in [(0, 5), (n // 3, n // 2), (n - 3, n)]:
-                assert np.array_equal(coboundary_matrix(g, 3, degree, (lo, hi)), full[lo:hi])
+            for rows in [np.arange(5), np.arange(n // 3, n // 2), np.arange(1, n, 7), [n - 1, 0]]:
+                assert np.array_equal(coboundary_matrix(g, 3, degree, rows), full[rows])
 
 
 class TestCup:
@@ -209,6 +211,51 @@ class TestStreamedH2:
         shapes = [a.shape for a in _arrays(ring, set())]
         assert shapes
         assert all(s[0] != g.order**3 for s in shapes if s)
+
+
+# the h2-cold benchmark groups, the trivial group and one order-27 group
+FULL_STREAM_CASES = [
+    ("cyclic:2", 2), ("cyclic:4", 2), ("cyclic:8", 2), ("cyclic:16", 2),
+    ("elab:2:2", 2), ("elab:2:3", 2), ("elab:2:4", 2), ("dihedral:4", 2),
+    ("dihedral:8", 2), ("quaternion8", 2), ("unipotent:2:2", 2),
+    ("dihedral:12", 2), ("cyclic:9", 3), ("elab:3:2", 3), ("cyclic:18", 3),
+    ("cyclic:20", 5), ("cyclic:1", 2), ("elab:3:3", 3),
+]
+
+
+class TestAgainstFullStream:
+    """Bases from the rows of d at e and the generators, and their solvers,
+    byte for byte against all of d and the [A | I] solver."""
+
+    @pytest.mark.parametrize("name,p", FULL_STREAM_CASES)
+    def test_bases_and_solves_identical(self, name, p):
+        g = builtin_group(name)
+        ring = CohomologyRing(g, p)
+        rng = np.random.default_rng(g.order * p)
+        for degree in (1, 2):
+            z, reps, ref = cohomology_by_full_stream(g, p, degree)
+            basis = ring.basis(degree)
+            got = np.array([c.flat() for c in basis.representatives]).reshape(-1, g.order**degree)
+            assert got.tobytes() == reps.tobytes() and got.shape == reps.shape
+            cocycles = (rng.integers(0, p, (len(z), 12)).T @ z % p).T
+            want = np.zeros((0, 12)) if ref is None else ref.solve_many(cocycles)[0][: len(reps)]
+            assert basis.coordinates_batch(cocycles).tobytes() == want.astype(np.int64).tobytes()
+        d1 = coboundary_matrix(g, p, 1)
+        rhs = np.concatenate(
+            [d1 @ rng.integers(0, p, (g.order, 6)) % p, rng.integers(0, p, (g.order**2, 6))], axis=1
+        )
+        x, ok = ring.d1_solver().solve_many(rhs)
+        ref_x, ref_ok = TransformSolver(d1, p).solve_many(rhs)
+        assert ok.tobytes() == ref_ok.tobytes() and ok[:6].all()
+        assert x[:, ok].tobytes() == ref_x[:, ok].tobytes()
+
+    def test_solvers_hold_no_square_transform(self):
+        # at order 32 an [A | I] transform has |G|^4 = 1048576 entries
+        g = builtin_group("cyclic:32")
+        ring = CohomologyRing(g, 2)
+        for solver in (ring.d1_solver(), ring.basis(2)._solver):
+            sizes = [a.size for a in _arrays(solver, set())]
+            assert sizes and max(sizes) <= g.order**3
 
 
 class TestRestrict:

@@ -19,7 +19,12 @@ from masseybrauer.fp_linalg import (
     solve_linear,
 )
 
-from oracles import kernel_by_enumeration, rref_by_loops, span_by_enumeration
+from oracles import (
+    TransformSolver,
+    kernel_by_enumeration,
+    rref_by_loops,
+    span_by_enumeration,
+)
 
 
 def M(p, rows):
@@ -146,6 +151,30 @@ class TestProperties:
             assert ok[k] == (single is not None)
             if single is not None:
                 assert np.array_equal(xs[:, k], single)
+
+
+class TestSolverAgainstTransform:
+    """Same pivots, same solutions on consistent columns and same ok flags as
+    the [A | I] solver, which keeps a rows x rows transform."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, MAX_PRIME])
+    def test_random_rank_deficient(self, p):
+        rng = np.random.default_rng(p)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (7, 3), (3, 7), (40, 12), (300, 20)]
+        for rows, cols in shapes:
+            for rank in sorted({0, min(rows, cols) // 2, min(rows, cols)}):
+                a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+                if rows > 1 and cols:
+                    a[-1] = a[0]  # a repeated row: rank deficient
+                consistent = (a @ rng.integers(0, p, (cols, 4))) % p
+                rhs = np.concatenate([consistent, rng.integers(0, p, (rows, 4))], axis=1)
+                solver, ref = Solver(a, p), TransformSolver(a, p)
+                got_x, got_ok = solver.solve_many(rhs)
+                ref_x, ref_ok = ref.solve_many(rhs)
+                assert np.array_equal(solver.pivots, ref.pivots)
+                assert got_ok.tobytes() == ref_ok.tobytes()
+                assert got_ok[:4].all()
+                assert got_x[:, got_ok].tobytes() == ref_x[:, ref_ok].tobytes()
 
 
 class TestIsPrime:

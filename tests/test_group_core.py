@@ -127,6 +127,16 @@ class TestConstructors:
         assert g.order == 9
         assert all(o in (1, 3) for o in g.element_orders())
 
+    def test_nonpositive_sizes_rejected(self):
+        for build in (
+            lambda: cyclic_group(0),
+            lambda: cyclic_group(-2),
+            lambda: elementary_abelian(2, 0),
+            lambda: elementary_abelian(3, -1),
+        ):
+            with pytest.raises(ValueError, match="must be positive"):
+                build()
+
     def test_direct_product(self):
         g = direct_product(cyclic_group(2), cyclic_group(3))
         assert g.order == 6

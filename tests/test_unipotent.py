@@ -31,6 +31,16 @@ class TestBuildUnipotent:
         with pytest.raises(ValueError):
             build_unipotent(2, 7)
 
+    @pytest.mark.parametrize("n,p,bar,order", [(4, 3, False, 59049), (4, 3, True, 19683),
+                                               (3, 5, False, 15625)])
+    def test_order_guard(self, n, p, bar, order):
+        # refused before the order x order table is allocated
+        with pytest.raises(ValueError, match=f"order {order}"):
+            build_unipotent(n, p, bar)
+
+    def test_largest_target_in_use_admitted(self):
+        assert build_unipotent(4, 2).order == 1024
+
     def test_matrix_index_round_trip(self):
         g = build_unipotent(3, 2)
         for i in (0, 1, 17, 63):
