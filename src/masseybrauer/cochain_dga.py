@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BLOCK_ROWS, rref_blocks
+from ._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from .fp_linalg import Solver, _check_prime, _freeze, null_space_rows, row_space_basis
-from .group_core import Character, FiniteGroup, Subgroup
+from .group_core import Character, FiniteGroup, Subgroup, bfs_tree
 
 MAX_DEGREE = 3
 
@@ -156,6 +156,75 @@ def coboundary_matrix(
     return m % p
 
 
+def _delta(
+    c: np.ndarray, mul: np.ndarray, degree: int, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """dc at the first arguments `first` and last arguments `last` (any
+    middle argument), for c of degree 1 or 2 whose value at each argument
+    tuple is the vector along its trailing axes."""
+    if degree == 1:
+        g, k = first[:, None], last[None, :]
+        return c[g] + c[k] - c[mul[g, k]]
+    g, h, k = first[:, None, None], np.arange(len(mul))[None, :, None], last[None, None, :]
+    return c[h, k] - c[mul[g, h], k] + c[g, mul[h, k]] - c[g, h]
+
+
+def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
+    """Z^degree as null_space_rows(RREF(d^degree)), solved for from the
+    values at last arguments s in S, the generators other than e.
+
+    A BFS tree of the Cayley graph writes every value of f = T u through
+    the unknowns u: f(hs) = f(h) + f(s) with f(e) = 0 in degree 1, and
+    f(g, hs) = f(g, h) + f(gh, s) - f(h, s) with f(., e) = f(e, e) in
+    degree 2, so df(.., e) = 0.  d(df) = 0 writes df(.., ks) through
+    df(.., k) and df(.., s), so f is a cocycle iff df(.., s) = 0 for each s
+    in S.  With K the kernel of these equations, the rows of K T^T span Z.
+    The basis above is the one that is the identity on the lexicographically
+    last independent columns: the RREF with the columns reversed.
+    """
+    n, e, mul = group.order, group.identity, group.mul
+    gens = np.array(sorted(set(group.generating_set()) - {e}), dtype=np.int64)
+    ns = len(gens)
+    if degree == 1:
+        t = np.zeros((n, ns), dtype=np.int64)  # t[k] = f(k) in the unknowns f(s)
+        for k, h, j in bfs_tree(group, gens):
+            t[k] = t[h]
+            t[k, j] += 1
+    else:
+        # t[g, k] = f(g, k) in the unknowns f(g, s) (column g |S| + j) and f(e, e)
+        t = np.zeros((n, n, n * ns + 1), dtype=np.int64)
+        t[:, e, -1] = 1
+        g = np.arange(n)[:, None]
+        for k, h, j in bfs_tree(group, gens):
+            t[:, k] = t[:, h]
+            t[g, k, mul[g, h] * ns + j] += 1
+            t[g, k, h * ns + j] -= 1
+    m = t.shape[-1]
+    t %= p
+    per_first = n ** (degree - 1) * ns  # equations per first argument
+    step = max(1, BLOCK_ROWS // max(per_first, 1))
+    firsts = [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    red, pivots = rref_blocks(
+        (_delta(t, mul, degree, f, gens).reshape(len(f) * per_first, m) for f in firsts), m, p
+    )
+    span = _dot(null_space_rows(red, pivots, p), t.reshape(n**degree, m).T) % p
+    red, pivots = rref(span[:, ::-1], p)
+    return np.ascontiguousarray(red[: len(pivots)][::-1, ::-1])
+
+
+def _check_cocycles(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> None:
+    """Raise unless every row of z is a cocycle: d of all rows at once, in
+    blocks of first arguments that keep each array near 2^21 entries."""
+    n = group.order
+    # residues are below MAX_PRIME < 2^16, so d of them fits int32
+    c = np.ascontiguousarray(z.T, dtype=np.int32).reshape((n,) * degree + (len(z),))
+    step = max(1, (1 << 21) // max(c.size, 1))
+    every = np.arange(n)
+    for lo in range(0, n, step):
+        if (_delta(c, group.mul, degree, every[lo : lo + step], every) % p).any():
+            raise RuntimeError("internal error: a cocycle basis row is not a cocycle")
+
+
 @dataclass
 class CohomologyBasis:
     """H^degree data: representative cocycles and a precomputed solver on
@@ -221,29 +290,16 @@ class CohomologyRing:
     def _compute(self, degree: int) -> CohomologyBasis:
         g, p = self.group, self.p
         n = g.order
-        # Z^degree = ker d^degree, reduced from the rows whose last argument k
-        # is e or a generator s.  d(df) = 0 writes df(.., ks) through df(.., k)
-        # and df(.., s), so these rows have the kernel, hence the RREF, of
-        # all of d^degree (|G|^3 x |G|^2 for d^2, never built)
-        ks = sorted({g.identity, *g.generating_set()})
-        rows = (np.arange(n**degree)[:, None] * n + ks).ravel()
-        red, pivots = rref_blocks(
-            (
-                coboundary_matrix(g, p, degree, rows[lo : lo + BLOCK_ROWS])
-                for lo in range(0, len(rows), BLOCK_ROWS)
-            ),
-            n**degree,
-            p,
-        )
-        z = null_space_rows(red, pivots, p)
+        # Z^degree from the values at the generators (never d^degree itself),
+        # checked against the differential on every argument tuple
+        z = _cocycles(g, p, degree)
+        _check_cocycles(g, p, degree, z)
         # the pivot columns of [d^(degree-1) | Z^T] after the B part are the
         # cocycles outside B and the span of the cocycles before them
         nb = n ** (degree - 1)
         solver = Solver(np.concatenate([coboundary_matrix(g, p, degree - 1), z.T], axis=1), p)
         rep_cols = solver.pivots[solver.pivots >= nb]
         reps = [Cochain(g, p, degree, v.reshape((n,) * degree)) for v in z[rep_cols - nb]]
-        if not all(differential(c).is_zero() for c in reps):
-            raise RuntimeError("internal error: a representative is not a cocycle")
         return CohomologyBasis(degree, reps, solver, rep_cols, p)
 
     # convenience views -----------------------------------------------------

@@ -10,7 +10,8 @@ finds x by trying every candidate of the documented scan order in turn, and
 `prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
 depth-first search over generator images.  `cohomology_by_full_stream`
 builds an H^degree basis from all of d^degree, with an [A | I]
-`TransformSolver` for coordinates.
+`TransformSolver` for coordinates, and `cocycles_by_generator_rows` reduces
+Z^degree from the rows of d^degree whose last argument is e or a generator.
 """
 
 from __future__ import annotations
@@ -569,3 +570,25 @@ def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
     spanning = np.concatenate([reps, b_rows])
     solver = TransformSolver(spanning.T, p) if len(spanning) else None
     return z, reps, solver
+
+
+def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
+    """Z^degree basis rows (null_space_rows of the RREF of d^degree) from the
+    rows of d^degree whose last argument is e or a generator."""
+    g = group
+    n = g.order
+    # Z^degree = ker d^degree, reduced from the rows whose last argument k
+    # is e or a generator s.  d(df) = 0 writes df(.., ks) through df(.., k)
+    # and df(.., s), so these rows have the kernel, hence the RREF, of
+    # all of d^degree (|G|^3 x |G|^2 for d^2, never built)
+    ks = sorted({g.identity, *g.generating_set()})
+    rows = (np.arange(n**degree)[:, None] * n + ks).ravel()
+    red, pivots = rref_blocks(
+        (
+            coboundary_matrix(g, p, degree, rows[lo : lo + BLOCK_ROWS])
+            for lo in range(0, len(rows), BLOCK_ROWS)
+        ),
+        n**degree,
+        p,
+    )
+    return null_space_rows(red, pivots, p)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from masseybrauer import cochain_dga
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import (
     Cochain,
@@ -21,13 +22,14 @@ from masseybrauer.group_core import (
     Character,
     FiniteGroup,
     Subgroup,
+    close_generators,
     cyclic_group,
     elementary_abelian,
     kernel_of_characters,
     whole_group,
 )
 
-from oracles import TransformSolver, cohomology_by_full_stream
+from oracles import TransformSolver, cocycles_by_generator_rows, cohomology_by_full_stream
 
 RNG = np.random.default_rng(20240817)
 
@@ -224,8 +226,8 @@ FULL_STREAM_CASES = [
 
 
 class TestAgainstFullStream:
-    """Bases from the rows of d at e and the generators, and their solvers,
-    byte for byte against all of d and the [A | I] solver."""
+    """Z from the generator system, the bases and their solvers, byte for
+    byte against all of d and the [A | I] solver."""
 
     @pytest.mark.parametrize("name,p", FULL_STREAM_CASES)
     def test_bases_and_solves_identical(self, name, p):
@@ -234,6 +236,8 @@ class TestAgainstFullStream:
         rng = np.random.default_rng(g.order * p)
         for degree in (1, 2):
             z, reps, ref = cohomology_by_full_stream(g, p, degree)
+            got_z = cochain_dga._cocycles(g, p, degree)
+            assert got_z.tobytes() == z.tobytes() and got_z.shape == z.shape
             basis = ring.basis(degree)
             got = np.array([c.flat() for c in basis.representatives]).reshape(-1, g.order**degree)
             assert got.tobytes() == reps.tobytes() and got.shape == reps.shape
@@ -256,6 +260,75 @@ class TestAgainstFullStream:
         for solver in (ring.d1_solver(), ring.basis(2)._solver):
             sizes = [a.size for a in _arrays(solver, set())]
             assert sizes and max(sizes) <= g.order**3
+
+
+def _s4_with_extra_generators():
+    # (0 1) twice, the 4-cycle, (2 3) which those two already give, and e:
+    # generating_set() is [1, 2, 1, 3, 0]
+    return close_generators(
+        [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [0, 1, 3, 2], [0, 1, 2, 3]]
+    )
+
+
+class TestCocycleSystem:
+    """Z from the values at the generators, extended along a BFS tree, byte
+    for byte against the rows of d whose last argument is e or a generator."""
+
+    @pytest.mark.parametrize(
+        "make,p",
+        [
+            (lambda: builtin_group("cyclic:27"), 3),
+            (lambda: builtin_group("unipotent:2:3"), 3),
+            (lambda: builtin_group("cyclic:32"), 2),
+            (lambda: builtin_group("elab:2:5"), 2),
+            (lambda: builtin_group("dihedral:16"), 2),
+            (_s4_with_extra_generators, 2),
+            (_s4_with_extra_generators, 3),
+            (lambda: FiniteGroup(cyclic_group(8).mul, generators=[1, 2]), 2),
+            (lambda: FiniteGroup(cyclic_group(8).mul, generators=[3, 1, 0]), 2),
+        ],
+        ids=["cyclic:27", "unipotent:2:3", "cyclic:32", "elab:2:5", "dihedral:16",
+             "s4-extra@2", "s4-extra@3", "z8-redundant", "z8-redundant-e"],
+    )
+    def test_matches_generator_rows(self, make, p):
+        g = make()
+        for degree in (1, 2):
+            got = cochain_dga._cocycles(g, p, degree)
+            want = cocycles_by_generator_rows(g, p, degree)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_corrupted_row_is_rejected(self, degree, monkeypatch):
+        real = cochain_dga._cocycles
+
+        def corrupted(group, p, deg):
+            z = real(group, p, deg).copy()
+            z[-1, 3] = (z[-1, 3] + 1) % p
+            return z
+
+        monkeypatch.setattr(cochain_dga, "_cocycles", corrupted)
+        with pytest.raises(RuntimeError, match="internal error"):
+            CohomologyRing(builtin_group("dihedral:4"), 2).basis(degree)
+
+
+class TestClosedFormDimensions:
+    """Cold bases of order 32 to 81 against known dimensions."""
+
+    @pytest.mark.parametrize(
+        "name,p,degree,dim",
+        [
+            # H^*(elementary abelian) at p: k in degree 1, k + C(k, 2) in degree 2
+            ("elab:2:5", 2, 2, 15),
+            ("elab:2:6", 2, 2, 21),
+            ("elab:3:4", 3, 2, 10),
+            ("dihedral:32", 2, 2, 3),
+            ("cyclic:64", 2, 2, 1),
+            # U_4(F_2) needs 3 generators, its superdiagonal transvections
+            ("unipotent:3:2", 2, 1, 3),
+        ],
+    )
+    def test_dimension(self, name, p, degree, dim):
+        assert CohomologyRing(builtin_group(name), p).basis(degree).dim == dim
 
 
 class TestRestrict:
