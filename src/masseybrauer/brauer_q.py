@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .fp_linalg import is_prime
-
 HALF = Fraction(1, 2)
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -57,6 +55,19 @@ class Place:
 
 
 REAL = Place.real()
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
@@ -142,6 +153,14 @@ def is_local_square(a: int, place: Place) -> bool:
     return _legendre(u, q) == 1
 
 
+def ramified_places(a: int, b: int) -> set[Place]:
+    """The places v with (a, b)_v = -1.  Only infinity, 2 and the primes of
+    a and b are candidates: at any other prime both entries are units."""
+    primes = {2, *factorize(a), *factorize(b)}
+    places = [REAL] + [Place.prime(q) for q in primes]
+    return {v for v in places if hilbert_symbol(a, b, v) == -1}
+
+
 @dataclass(frozen=True)
 class QuaternionSymbol:
     a: int
@@ -155,18 +174,13 @@ class QuaternionSymbol:
 class BrauerClass2:
     """A 2-torsion Brauer class over Q as a formal sum of quaternion symbols."""
 
-    def __init__(
-        self,
-        symbols: Iterable[QuaternionSymbol | tuple[int, int]],
-        factor_bound: int = DEFAULT_FACTOR_BOUND,
-    ):
+    def __init__(self, symbols: Iterable[QuaternionSymbol | tuple[int, int]]):
         syms = []
         for s in symbols:
             if not isinstance(s, QuaternionSymbol):
                 s = QuaternionSymbol(int(s[0]), int(s[1]))
             syms.append(s)
         self.symbols: tuple[QuaternionSymbol, ...] = tuple(syms)
-        self.factor_bound = factor_bound
         self._invariants: dict[Place, Fraction] | None = None
 
     def candidate_support(self) -> list[Place]:
@@ -174,21 +188,18 @@ class BrauerClass2:
         primes = {2}
         for s in self.symbols:
             for n in (s.a, s.b):
-                primes.update(factorize(n, self.factor_bound))
+                primes.update(factorize(n))
         return [REAL] + [Place.prime(q) for q in sorted(primes)]
 
     def local_invariants(self) -> dict[Place, Fraction]:
-        """Map from places to nonzero invariants (each 1/2); empty for the
-        trivial class."""
+        """Map from places to nonzero invariants (each 1/2), in place order;
+        empty for the trivial class.  A place carries 1/2 iff an odd number
+        of the symbols ramify there."""
         if self._invariants is None:
-            inv: dict[Place, Fraction] = {}
-            for v in self.candidate_support():
-                s = 1
-                for sym in self.symbols:
-                    s *= hilbert_symbol(sym.a, sym.b, v)
-                if s == -1:
-                    inv[v] = HALF
-            self._invariants = inv
+            places: set[Place] = set()
+            for s in self.symbols:
+                places ^= ramified_places(s.a, s.b)
+            self._invariants = dict.fromkeys(sorted(places), HALF)
         return dict(self._invariants)
 
     def support(self) -> list[Place]:
@@ -198,10 +209,7 @@ class BrauerClass2:
         return not self.local_invariants()
 
     def __add__(self, other: "BrauerClass2") -> "BrauerClass2":
-        return BrauerClass2(
-            self.symbols + other.symbols,
-            max(self.factor_bound, other.factor_bound),
-        )
+        return BrauerClass2(self.symbols + other.symbols)
 
     def __repr__(self):
         return f"BrauerClass2({[(s.a, s.b) for s in self.symbols]})"
@@ -230,10 +238,6 @@ def splits_in_multiquadratic(c: BrauerClass2, a_list: Iterable[int]) -> bool:
     return True
 
 
-def reciprocity_holds(a: int, b: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def reciprocity_holds(a: int, b: int) -> bool:
     """Product of (a,b)_v over the candidate support equals +1."""
-    c = BrauerClass2([(a, b)], factor_bound)
-    prod = 1
-    for v in c.candidate_support():
-        prod *= hilbert_symbol(a, b, v)
-    return prod == 1
+    return len(ramified_places(a, b)) % 2 == 0

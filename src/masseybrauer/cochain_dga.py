@@ -61,16 +61,10 @@ class Cochain:
         return Cochain(self.group, self.p, self.degree, self.values + other.values)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compat(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Cochain(self.group, self.p, self.degree, self.values - other.values)
+        return self + (-other)
 
     def __neg__(self) -> "Cochain":
         return Cochain(self.group, self.p, self.degree, -self.values)
-
-    def scale(self, t: int) -> "Cochain":
-        return Cochain(self.group, self.p, self.degree, self.values * (t % self.p))
 
     def _compat(self, other: "Cochain"):
         if self.group is not other.group or self.p != other.p:
@@ -92,18 +86,14 @@ class Cochain:
 def differential(c: Cochain) -> Cochain:
     """The bar differential; raises on degree-3 input."""
     g = c.group
-    mul = g.mul
-    v = c.values
-    p = c.p
     if c.degree == 0:
         out = np.zeros(g.order, dtype=np.int64)
-    elif c.degree == 1:
-        out = v[:, None] + v[None, :] - v[mul]
-    elif c.degree == 2:
-        out = v[None, :, :] - v[mul, :] + v[:, mul] - v[:, :, None]
-    else:
+    elif c.degree == MAX_DEGREE:
         raise ValueError("differential undefined in degree 3 (cap)")
-    return Cochain(g, p, c.degree + 1, out)
+    else:
+        every = np.arange(g.order)
+        out = _delta(c.values, g.mul, c.degree, every, every)
+    return Cochain(g, c.p, c.degree + 1, out)
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -127,41 +117,27 @@ def restrict(c: Cochain, sub: Subgroup) -> Cochain:
     return Cochain(k, c.p, c.degree, vals)
 
 
-def coboundary_matrix(
-    group: FiniteGroup, p: int, degree: int, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Matrix of d: C^degree -> C^(degree+1) on flattened value tables, or
-    only the rows with the given indices."""
+def coboundary_matrix(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
+    """Matrix of d: C^degree -> C^(degree+1) on flattened value tables: d of
+    the identity basis, one column per basis cochain."""
     if degree not in (0, 1, 2):
         raise ValueError("coboundary matrix only built for degrees 0..2")
     n = group.order
-    mul = group.mul
-    idx = np.arange(n ** (degree + 1)) if rows is None else np.asarray(rows, dtype=np.int64)
-    m = np.zeros((len(idx), n**degree), dtype=np.int64)
     if degree == 0:
-        return m
-    at = np.arange(len(idx))
-    if degree == 1:
-        g, h = np.divmod(idx, n)
-        np.add.at(m, (at, g), 1)
-        np.add.at(m, (at, h), 1)
-        np.add.at(m, (at, mul[g, h]), -1)
-    else:
-        gh, k = np.divmod(idx, n)
-        g, h = np.divmod(gh, n)
-        np.add.at(m, (at, h * n + k), 1)
-        np.add.at(m, (at, mul[g, h] * n + k), -1)
-        np.add.at(m, (at, g * n + mul[h, k]), 1)
-        np.add.at(m, (at, g * n + h), -1)
-    return m % p
+        return np.zeros((n, 1), dtype=np.int64)
+    every = np.arange(n)
+    # int8 is enough: every entry of d of a basis cochain lies in -2..2
+    basis = np.eye(n**degree, dtype=np.int8).reshape((n,) * degree + (n**degree,))
+    d = _delta(basis, group.mul, degree, every, every).reshape(n ** (degree + 1), n**degree)
+    return np.mod(d, p, dtype=np.int64)
 
 
 def _delta(
     c: np.ndarray, mul: np.ndarray, degree: int, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
-    """dc at the first arguments `first` and last arguments `last` (any
-    middle argument), for c of degree 1 or 2 whose value at each argument
-    tuple is the vector along its trailing axes."""
+    """The bar differential dc at the first arguments `first` and last
+    arguments `last` (any middle argument), for c of degree 1 or 2 whose
+    value at each argument tuple is the vector along its trailing axes."""
     if degree == 1:
         g, k = first[:, None], last[None, :]
         return c[g] + c[k] - c[mul[g, k]]
@@ -247,10 +223,7 @@ class CohomologyBasis:
             raise ValueError("degree mismatch")
         if not differential(z).is_zero():
             raise ValueError("not a cocycle")
-        return self.coordinates_unchecked(z.flat())
-
-    def coordinates_unchecked(self, flat: np.ndarray) -> np.ndarray:
-        x = self._solver.solve(flat)
+        x = self._solver.solve(z.flat())
         if x is None:  # cannot happen for a true cocycle: the basis spans Z
             raise ValueError("vector outside the cocycle space")
         return x[self._rep_cols]

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import rref
 from .cochain_dga import get_ring, restrict
-from .fp_linalg import FpMatrix, in_row_space, kernel_basis, row_space_basis
+from .fp_linalg import in_row_space, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, Subgroup, kernel_of_characters
 
 
@@ -49,11 +50,8 @@ def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     # matrix of res in coordinates: column per G-representative
     res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
-    mat = FpMatrix(p, sub_h2.coordinates_batch(res))
-    ker = kernel_basis(mat)
-    if not ker:
-        return np.zeros((0, h2.dim), dtype=np.int64)
-    return row_space_basis(np.stack([v.entries for v in ker]), p)
+    coords = sub_h2.coordinates_batch(res)
+    return row_space_basis(null_space_rows(*rref(coords, p), p), p)
 
 
 @dataclass
@@ -91,8 +89,8 @@ def property_for_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> Property
     if basis_chars:
         vals = np.stack([c.values for c in basis_chars])  # (d, |G|)
         on_members = vals[:, list(sub.members)].T  # (|K|, d)
-        coeffs = kernel_basis(FpMatrix(p, on_members))
-        picked = [ring.character_from_coords(v.entries) for v in coeffs]
+        coeffs = null_space_rows(*rref(on_members, p), p)
+        picked = [ring.character_from_coords(v) for v in coeffs]
     else:
         picked = []
     if kernel_of_characters(picked, group).members != sub.members:

@@ -11,19 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import rref
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .brauer_q import is_prime  # re-exported: its home is numpy-free
 
 
 # Largest accepted modulus, the largest prime below 2^16.  A product of two

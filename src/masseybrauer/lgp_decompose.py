@@ -25,9 +25,10 @@ from .brauer_q import (
     factorize,
     hilbert_symbol,
     is_local_square,
+    is_prime,
+    ramified_places,
     splits_in_multiquadratic,
 )
-from .fp_linalg import is_prime
 
 DEFAULT_AUX_PRIME_BOUND = 10**6
 
@@ -251,52 +252,29 @@ def decompose(
         targets.append(target)
 
     # realize the adjusted entries i >= 2 first; where a'_i = a_1 a_i the
-    # symbol (a_1 a_i, x) re-expands as (a_1, x) + (a_i, x), and the (a_1, x)
-    # leg is folded into the leading target before it is realized
-    xs: list[int | None] = [None] * r
-    lead_target = dict(targets[0])
+    # symbol (a_1 a_i, x) re-expands as (a_1, x) + (a_i, x), and the places
+    # where the (a_1, x) leg ramifies are folded into the leading target
+    xs = [1] * r
+    lead_target = set(targets[0])
     for i in range(1, r):
-        if not targets[i]:
-            xs[i] = 1
-            continue
-        x = realize_as_cup(targets[i], adjusted[i], aux_prime_bound)
-        xs[i] = x
-        if adjusted[i] != ordered[i]:
-            extra = BrauerClass2([(ordered[0], x)]).local_invariants()
-            lead_target = _xor_invariants(lead_target, extra)
-    xs[0] = realize_as_cup(lead_target, ordered[0], aux_prime_bound) if lead_target else 1
+        if targets[i]:
+            xs[i] = realize_as_cup(targets[i], adjusted[i], aux_prime_bound)
+            if adjusted[i] != ordered[i]:
+                lead_target ^= ramified_places(ordered[0], xs[i])
+    if lead_target:
+        target = dict.fromkeys(sorted(lead_target), HALF)
+        xs[0] = realize_as_cup(target, ordered[0], aux_prime_bound)
 
-    # undo the reordering
-    final_x = [1] * r
-    final_parts: list[list[Place]] = [[] for _ in range(r)]
-    final_t = [0] * r
-    adjusted_in_input_order = [0] * r
-    for pos, idx in enumerate(order):
-        final_x[idx] = int(xs[pos])
-        final_parts[idx] = parts[pos]
-        final_t[idx] = t_par[pos]
-        adjusted_in_input_order[idx] = adjusted[pos]
-
+    # undo the reordering: position back[i] of the ordered lists is entry i
+    back = sorted(range(r), key=order.__getitem__)
     cert = DecompositionCertificate(
-        symbols, a_list, final_x, v0, adjusted_in_input_order, final_parts,
-        final_t, order,
+        symbols, a_list, [xs[j] for j in back], v0, [adjusted[j] for j in back],
+        [parts[j] for j in back], [t_par[j] for j in back], order,
     )
     ok, reason = verify_certificate(cert)
     if not ok:
         raise RuntimeError(f"internal error: emitted certificate invalid ({reason})")
     return cert
-
-
-def _xor_invariants(
-    left: dict[Place, Fraction], right: dict[Place, Fraction]
-) -> dict[Place, Fraction]:
-    out = dict(left)
-    for v in right:
-        if v in out:
-            del out[v]
-        else:
-            out[v] = HALF
-    return out
 
 
 def decompose_biquadratic(

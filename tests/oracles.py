@@ -8,10 +8,12 @@ test every group law on every triple, and the reference builders fill group
 tables one entry at a time from their defining formulas.  `realize_by_scan`
 finds x by trying every candidate of the documented scan order in turn, and
 `prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
-depth-first search over generator images.  `cohomology_by_full_stream`
-builds an H^degree basis from all of d^degree, with an [A | I]
-`TransformSolver` for coordinates, and `cocycles_by_generator_rows` reduces
-Z^degree from the rows of d^degree whose last argument is e or a generator.
+depth-first search over generator images.  `coboundary_rows` writes rows
+of the matrix of d entry by entry from the bar formula, independently of the
+library's one batched differential.  `cohomology_by_full_stream` builds an
+H^degree basis from all of d^degree, with an [A | I] `TransformSolver` for
+coordinates, and `cocycles_by_generator_rows` reduces Z^degree from the rows
+of d^degree whose last argument is e or a generator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
-from masseybrauer.cochain_dga import coboundary_matrix
 from masseybrauer.fp_linalg import null_space_rows, row_space_basis
 from masseybrauer.group_core import Character, FiniteGroup
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
@@ -543,6 +544,35 @@ class TransformSolver:
         return x, ok
 
 
+def coboundary_rows(
+    group: FiniteGroup, p: int, degree: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Matrix of d: C^degree -> C^(degree+1) on flattened value tables, or
+    only the rows with the given indices."""
+    if degree not in (0, 1, 2):
+        raise ValueError("coboundary matrix only built for degrees 0..2")
+    n = group.order
+    mul = group.mul
+    idx = np.arange(n ** (degree + 1)) if rows is None else np.asarray(rows, dtype=np.int64)
+    m = np.zeros((len(idx), n**degree), dtype=np.int64)
+    if degree == 0:
+        return m
+    at = np.arange(len(idx))
+    if degree == 1:
+        g, h = np.divmod(idx, n)
+        np.add.at(m, (at, g), 1)
+        np.add.at(m, (at, h), 1)
+        np.add.at(m, (at, mul[g, h]), -1)
+    else:
+        gh, k = np.divmod(idx, n)
+        g, h = np.divmod(gh, n)
+        np.add.at(m, (at, h * n + k), 1)
+        np.add.at(m, (at, mul[g, h] * n + k), -1)
+        np.add.at(m, (at, g * n + mul[h, k]), 1)
+        np.add.at(m, (at, g * n + h), -1)
+    return m % p
+
+
 def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
     """H^degree from every row of d^degree: (Z basis rows, representative
     rows, TransformSolver on [reps; B]^T or None).  The coordinates of a
@@ -554,7 +584,7 @@ def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
     # |G|^3 x |G|^2 matrix of d^2 is never built
     red, pivots = rref_blocks(
         (
-            coboundary_matrix(g, p, degree, np.arange(lo, min(lo + BLOCK_ROWS, rows)))
+            coboundary_rows(g, p, degree, np.arange(lo, min(lo + BLOCK_ROWS, rows)))
             for lo in range(0, rows, BLOCK_ROWS)
         ),
         n**degree,
@@ -562,7 +592,7 @@ def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
     )
     z = null_space_rows(red, pivots, p)
     # B^degree = column space of d^(degree-1), as echelon rows
-    b_rows = row_space_basis(coboundary_matrix(g, p, degree - 1).T, p)
+    b_rows = row_space_basis(coboundary_rows(g, p, degree - 1).T, p)
     # extend B to Z: the cocycles among the pivot columns of [B; Z]^T are
     # those outside the span of B and the cocycles before them
     _, piv = rref(np.concatenate([b_rows, z]).T, p)
@@ -585,7 +615,7 @@ def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.nd
     rows = (np.arange(n**degree)[:, None] * n + ks).ravel()
     red, pivots = rref_blocks(
         (
-            coboundary_matrix(g, p, degree, rows[lo : lo + BLOCK_ROWS])
+            coboundary_rows(g, p, degree, rows[lo : lo + BLOCK_ROWS])
             for lo in range(0, len(rows), BLOCK_ROWS)
         ),
         n**degree,

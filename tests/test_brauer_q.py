@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+from masseybrauer import brauer_q, lgp_decompose
 from masseybrauer.brauer_q import (
     HALF,
     REAL,
@@ -12,6 +14,7 @@ from masseybrauer.brauer_q import (
     factorize,
     hilbert_symbol,
     is_local_square,
+    ramified_places,
     reciprocity_holds,
     splits_in_multiquadratic,
 )
@@ -119,6 +122,65 @@ class TestIsLocalSquare:
         for a in [n for n in range(-30, 31) if n]:
             for v in places:
                 assert is_local_square(a, v) == is_square_oracle(a, v)
+
+
+def _oracle_ramified(a, b, places):
+    return {v for v in places if hilbert_oracle(a, b, v) == -1}
+
+
+class TestRamifiedPlaces:
+    # the oracle enumerates residues mod q^4 at an odd prime q, about 0.1 s a
+    # call at q = 37, so the exhaustive sweep stops where the primes reach 19
+    SMALL = [n for n in range(-22, 23) if n]
+
+    def test_every_small_pair_against_oracle(self):
+        for a in self.SMALL:
+            for b in self.SMALL:
+                places = BrauerClass2([(a, b)]).candidate_support()
+                assert ramified_places(a, b) == _oracle_ramified(a, b, places), (a, b)
+
+    def test_sample_up_to_40_against_oracle(self):
+        rng = random.Random(40)
+        entries = [n for n in range(-40, 41) if n]
+        pairs = [(rng.choice(entries), rng.choice(entries)) for _ in range(120)]
+        for a, b in pairs + [(37, -29), (-31, 23), (-37, -37)]:
+            places = BrauerClass2([(a, b)]).candidate_support()
+            assert ramified_places(a, b) == _oracle_ramified(a, b, places), (a, b)
+
+    def test_sums_sharing_primes_against_oracle(self):
+        # entries built from 2, 3, 5, 7 and -1, so symbols share primes and
+        # ramification cancels in pairs
+        rng = random.Random(7)
+        entries = [s * n for n in (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35) for s in (1, -1)]
+        for _ in range(150):
+            syms = [(rng.choice(entries), rng.choice(entries)) for _ in range(rng.randint(2, 4))]
+            c = BrauerClass2(syms)
+            want = []
+            for v in c.candidate_support():
+                sign = 1
+                for a, b in syms:
+                    sign *= hilbert_oracle(a, b, v)
+                if sign == -1:
+                    want.append(v)
+            assert c.local_invariants() == dict.fromkeys(want, HALF), syms
+            assert list(c.local_invariants()) == want  # in place order
+
+
+class TestNumpyFree:
+    @pytest.mark.parametrize("module", [brauer_q, lgp_decompose], ids=lambda m: m.__name__)
+    def test_no_linear_algebra_imports(self, module):
+        with open(module.__file__) as f:
+            tree = ast.parse(f.read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                if node.module is None:  # from . import x
+                    names.update(alias.name for alias in node.names)
+        parts = {part for name in names for part in name.split(".")}
+        assert not parts & {"numpy", "fp_linalg", "_kernels"}
 
 
 class TestBrauerClass:

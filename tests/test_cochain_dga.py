@@ -29,7 +29,12 @@ from masseybrauer.group_core import (
     whole_group,
 )
 
-from oracles import TransformSolver, cocycles_by_generator_rows, cohomology_by_full_stream
+from oracles import (
+    TransformSolver,
+    coboundary_rows,
+    cocycles_by_generator_rows,
+    cohomology_by_full_stream,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -80,13 +85,17 @@ class TestDifferential:
                 (m @ c.flat()) % 2, differential(c).flat()
             )
 
-    def test_selected_rows_match_full_matrix(self):
-        g = builtin_group("dihedral:4")
+    @pytest.mark.parametrize("name", ["dihedral:4", "quaternion8", "cyclic:6"])
+    def test_matches_entrywise_reference(self, name):
+        g = builtin_group(name)
         for degree in (0, 1, 2):
             full = coboundary_matrix(g, 3, degree)
+            ref = coboundary_rows(g, 3, degree)
+            assert full.dtype == ref.dtype and full.shape == ref.shape
+            assert np.array_equal(full, ref)
             n = len(full)
             for rows in [np.arange(5), np.arange(n // 3, n // 2), np.arange(1, n, 7), [n - 1, 0]]:
-                assert np.array_equal(coboundary_matrix(g, 3, degree, rows), full[rows])
+                assert np.array_equal(coboundary_rows(g, 3, degree, rows), full[rows])
 
 
 class TestCup:
@@ -128,6 +137,17 @@ class TestCup:
         g = cyclic_group(2)
         with pytest.raises(ValueError):
             cup(random_cochain(g, 2, 2), random_cochain(g, 2, 2))
+
+    def test_subtraction(self):
+        g = builtin_group("quaternion8")
+        a, b = random_cochain(g, 3, 2), random_cochain(g, 3, 2)
+        assert a - b == Cochain(g, 3, 2, a.values - b.values)
+        with pytest.raises(ValueError, match="different groups or moduli"):
+            a - random_cochain(cyclic_group(8), 3, 2)
+        with pytest.raises(ValueError, match="different groups or moduli"):
+            a - random_cochain(g, 5, 2)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            a - random_cochain(g, 3, 1)
 
 
 class TestCohomology:

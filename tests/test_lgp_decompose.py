@@ -13,9 +13,9 @@ from masseybrauer.brauer_q import (
     classes_equal,
     factorize,
     is_local_square,
+    is_prime,
     splits_in_multiquadratic,
 )
-from masseybrauer.fp_linalg import is_prime
 from masseybrauer.lgp_decompose import (
     NonSplittingError,
     SearchBoundExceeded,
@@ -220,6 +220,15 @@ class TestDecompose:
         cert = decompose(c, [4, 2])
         assert verify_certificate(cert)[0]
         assert cert.a_list == [4, 2]
+
+    def test_third_entry_lead_reordered(self):
+        # two leading squares: the reordering [2, 0, 1] is not its own inverse
+        cert = decompose(BrauerClass2([(2, 3)]), [4, 9, 2])
+        assert cert.order == [2, 0, 1]
+        assert cert.adjusted_a_list[2] == 2
+        assert cert.x_list[:2] == [1, 1]
+        assert cert.partition[:2] == [[], []]
+        assert verify_certificate(cert)[0]
 
     def test_non_splitting_rejected(self):
         with pytest.raises(NonSplittingError):
