@@ -72,8 +72,3 @@ SWEEP_P3 = [
     "elab:3:3",
     "unipotent:2:3",
 ]
-
-
-def sweep(p: int) -> list[tuple[str, FiniteGroup]]:
-    names = SWEEP_P2 if p == 2 else SWEEP_P3 if p == 3 else []
-    return [(name, builtin_group(name)) for name in names]

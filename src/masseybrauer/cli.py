@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,26 @@ def _js_int(n: int):
     return n if -_SAFE < n < _SAFE else str(n)
 
 
+def _int(x) -> int:
+    """A JSON integer, or a decimal string as `_js_int` writes one; floats,
+    booleans and anything else are domain errors, never truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x) and _js_int(int(x)) == x:
+        return int(x)
+    raise ValueError(f"expected an integer, got {json.dumps(x)}")
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return x
+
+
+def _ints(x, what: str) -> list[int]:
+    return [_int(v) for v in _list(x, what)]
+
+
 def _emit(payload) -> None:
     json.dump(payload, sys.stdout, separators=(", ", ": "))
     sys.stdout.write("\n")
@@ -50,15 +71,21 @@ def _load_group(spec: str) -> FiniteGroup:
         data = json.loads(spec)
     else:
         return builtin_group(spec)
+    if not isinstance(data, dict):
+        raise ValueError("group JSON must be an object")
     if "table" in data:
-        return FiniteGroup(np.asarray(data["table"], dtype=np.int64), identity=0)
+        rows = [_ints(row, "table row") for row in _list(data["table"], "table")]
+        if any(len(row) != len(rows) or not all(0 <= x < len(rows) for x in row) for row in rows):
+            raise ValueError("table must be square with entries in 0..order-1")
+        return FiniteGroup(np.asarray(rows, dtype=np.int64))
     if "perm_degree" in data:
-        degree = int(data["perm_degree"])
+        degree = _int(data["perm_degree"])
         gens = []
-        for images in data["generators"]:
+        for images in _list(data.get("generators"), "generators"):
+            images = _ints(images, "generator")
             if len(images) != degree:
                 raise ValueError("generator has wrong degree")
-            gens.append([int(i) - 1 for i in images])  # 1-based on the wire
+            gens.append([i - 1 for i in images])  # 1-based on the wire
         return close_generators(gens)
     raise ValueError("group JSON needs 'table' or 'perm_degree'/'generators'")
 
@@ -67,8 +94,8 @@ def _load_chars(group: FiniteGroup, p: int, text: str):
     ring = get_ring(group, p)
     dim = ring.basis(1).dim
     out = []
-    for coords in json.loads(text):
-        coords = [int(c) for c in coords]
+    for coords in _list(json.loads(text), "characters"):
+        coords = [c % p for c in _ints(coords, "character coordinates")]
         if len(coords) != dim:
             raise ValueError(
                 f"character coordinates must have length dim H^1 = {dim}"
@@ -99,24 +126,34 @@ def _cert_json(cert: DecompositionCertificate) -> dict:
     }
 
 
-def _cert_from_json(data: dict) -> DecompositionCertificate:
+def _symbols(x) -> list[tuple[int, int]]:
+    pairs = [_ints(pair, "symbol") for pair in _list(x, "class")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("a symbol must be a pair [a, b]")
+    return [(a, b) for a, b in pairs]
+
+
+def _cert_from_json(data) -> DecompositionCertificate:
+    if not isinstance(data, dict):
+        raise ValueError("certificate must be a JSON object")
     return DecompositionCertificate(
-        symbols=[(int(a), int(b)) for a, b in data["class"]],
-        a_list=[int(a) for a in data["a_list"]],
-        x_list=[int(x) for x in data["x_list"]],
+        symbols=_symbols(data.get("class")),
+        a_list=_ints(data.get("a_list"), "a_list"),
+        x_list=_ints(data.get("x_list"), "x_list"),
         v0=None if data.get("v0") is None else Place.parse(str(data["v0"])),
         adjusted_a_list=None
         if data.get("adjusted_a_list") is None
-        else [int(a) for a in data["adjusted_a_list"]],
+        else _ints(data["adjusted_a_list"], "adjusted_a_list"),
         partition=[
-            [Place.parse(str(v)) for v in part] for part in data["partition"]
+            [Place.parse(str(v)) for v in _list(part, "partition part")]
+            for part in _list(data.get("partition"), "partition")
         ],
-        t_parities=[int(t) for t in data["t_parities"]],
+        t_parities=_ints(data.get("t_parities"), "t_parities"),
     )
 
 
 def _load_class(text: str) -> BrauerClass2:
-    return BrauerClass2([(int(a), int(b)) for a, b in json.loads(text)])
+    return BrauerClass2(_symbols(json.loads(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +253,13 @@ def _cmd_q_invariants(args) -> dict:
 
 def _cmd_q_split(args) -> dict:
     c = _load_class(args.cls)
-    a_list = [int(a) for a in json.loads(args.a)]
+    a_list = _ints(json.loads(args.a), "--a")
     return {"splits": brauer_q.splits_in_multiquadratic(c, a_list)}
 
 
 def _cmd_q_decompose(args) -> dict:
     c = _load_class(args.cls)
-    a_list = [int(a) for a in json.loads(args.a)]
+    a_list = _ints(json.loads(args.a), "--a")
     cert = decompose(c, a_list, aux_prime_bound=args.aux_prime_bound)
     return _cert_json(cert)
 

@@ -221,18 +221,17 @@ class CohomologyBasis:
         """Coordinates of [z]; raises if z is not a cocycle."""
         if z.degree != self.degree:
             raise ValueError("degree mismatch")
-        if not differential(z).is_zero():
-            raise ValueError("not a cocycle")
-        x = self._solver.solve(z.flat())
-        if x is None:  # cannot happen for a true cocycle: the basis spans Z
-            raise ValueError("vector outside the cocycle space")
-        return x[self._rep_cols]
+        return self.coordinates_batch(z.flat()[:, None])[:, 0]
 
     def coordinates_batch(self, flats: np.ndarray) -> np.ndarray:
-        """Coordinates for many flattened cocycles (one per column)."""
+        """Coordinates for many flattened cochains (one per column); raises
+        unless every one is a cocycle.  The solver's columns [d^(k-1) | Z^T]
+        span exactly Z^k, so its exact check is the cocycle test."""
+        if flats.shape[0] != self._solver.rows:
+            raise ValueError("dimension mismatch")
         x, ok = self._solver.solve_many(flats)
         if not ok.all():
-            raise ValueError("vector outside the cocycle space")
+            raise ValueError("not a cocycle")
         return x[self._rep_cols]
 
 

@@ -41,13 +41,10 @@ def lambda_image(group: FiniteGroup, chars: list[Character], p: int | None = Non
 
 def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
     """Basis rows of Ker(res: H^2(G) -> H^2(K)) in H^2(G) coordinates."""
-    ring = get_ring(group, p)
-    h2 = ring.basis(2)
-    sub_group, _ = sub.as_group()
-    sub_ring = get_ring(sub_group, p)
-    sub_h2 = sub_ring.basis(2)
+    h2 = get_ring(group, p).basis(2)
     if h2.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
+    sub_h2 = get_ring(sub.as_group()[0], p).basis(2)
     # matrix of res in coordinates: column per G-representative
     res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
     coords = sub_h2.coordinates_batch(res)

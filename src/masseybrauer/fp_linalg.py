@@ -80,25 +80,6 @@ class FpMatrix:
     def rows(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zero(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    def matvec(self, v: FpVector) -> FpVector:
-        if v.p != self.p:
-            raise ValueError("modulus mismatch")
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return FpVector(self.p, (self.entries @ v.entries) % self.p)
-
 
 class Solver:
     """Precomputed elimination of a fixed matrix A for many right-hand sides.

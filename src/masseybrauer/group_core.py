@@ -17,16 +17,26 @@ import numpy as np
 
 from .fp_linalg import _check_prime, _freeze, is_prime
 
+# the largest order built: its int64 table has 4096^2 entries, 134 MB
+MAX_ORDER = 4096
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_ORDER before its table is allocated."""
+    if n > MAX_ORDER:
+        raise ValueError(f"size guard: refuse a group of order {n} > {MAX_ORDER}")
+
 
 class FiniteGroup:
     """A finite group given by its order x order multiplication table.  What
     is derived from it (rings, subgroup groups, element orders) is memoized on
-    it by `cached` and freed with it."""
+    it by `cached` and freed with it.  The identity is element 0."""
+
+    identity = 0
 
     def __init__(
         self,
         mul: np.ndarray,
-        identity: int = 0,
         generators: Optional[Sequence[int]] = None,
         name: str = "",
     ):
@@ -38,7 +48,6 @@ class FiniteGroup:
             raise ValueError("table entries must be element indices")
         self.order = n
         self.mul = _freeze(mul)
-        self.identity = int(identity)
         self.name = name
         self._memo: dict[Hashable, Any] = {}
         self.generators: Optional[tuple[int, ...]] = (
@@ -75,12 +84,6 @@ class FiniteGroup:
 
     def times(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
-
-    def power(self, g: int, k: int) -> int:
-        r = self.identity
-        for _ in range(k):
-            r = self.times(r, g)
-        return r
 
     def element_orders(self) -> np.ndarray:
         """Read-only table of element orders (memoized)."""
@@ -173,6 +176,7 @@ def close_generators(perms: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         for k, g in enumerate(gens):
             y = tuple(x[i] for i in g)  # x after g
             if y not in index:
+                _check_order(len(elems) + 1)
                 index[y] = len(elems)
                 elems.append(y)
                 parent.append(a)
@@ -184,7 +188,7 @@ def close_generators(perms: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     cols[0] = np.arange(len(elems))
     for b in range(1, len(elems)):
         cols[b] = right_mul[via[b], cols[parent[b]]]
-    return FiniteGroup(cols.T, identity=0, generators=[index[g] for g in gens], name=name)
+    return FiniteGroup(cols.T, generators=[index[g] for g in gens], name=name)
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,7 @@ class Subgroup:
         pos = np.full(self.parent.order, -1, dtype=np.int64)
         pos[emb] = np.arange(len(emb))
         mul = pos[self.parent.mul[np.ix_(emb, emb)]]
-        return FiniteGroup(mul, identity=int(pos[self.parent.identity])), emb
+        return FiniteGroup(mul), emb  # the sorted members start with 0
 
 
 def kernel_of_characters(
@@ -309,15 +313,12 @@ def frattini_p_quotient(
         powers = mul[powers, np.arange(n)]
     commutators = mul[mul, mul[np.ix_(inv, inv)]]  # g h g^-1 h^-1
     normal = subgroup_closure(group, np.unique(np.concatenate([powers, commutators.ravel()])))
-    # cosets g N, canonical representative = least member index
+    # cosets g N, canonical representative = least member index (N's is 0)
     rep = mul[:, normal].min(axis=1)
     reps = np.unique(rep)
     pos = np.full(n, -1, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
-    quotient = FiniteGroup(
-        pos[rep[mul[np.ix_(reps, reps)]]], identity=int(pos[rep[group.identity]])
-    )
-    return quotient, pos[rep]
+    return FiniteGroup(pos[rep[mul[np.ix_(reps, reps)]]]), pos[rep]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,7 @@ def frattini_p_quotient(
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
+    _check_order(n)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(mul, generators=[1 % n] if n > 1 else [0], name=f"cyclic:{n}")
@@ -334,23 +336,23 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGroup:
     nb = b.order
+    _check_order(a.order * nb)
     xa, xb = np.divmod(np.arange(a.order * nb), nb)
     mul = a.mul[np.ix_(xa, xa)] * nb + b.mul[np.ix_(xb, xb)]
     gens = None
     if a.generators is not None and b.generators is not None:
-        gens = [g * nb + b.identity for g in a.generators] + [
-            a.identity * nb + g for g in b.generators
-        ]
-    return FiniteGroup(
-        mul, identity=a.identity * nb + b.identity, generators=gens, name=name
-    )
+        gens = [g * nb for g in a.generators] + list(b.generators)
+    return FiniteGroup(mul, generators=gens, name=name)
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be positive")
+    # first, so p^k is never huge and a huge p is never trial-divided
+    if k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:
+        raise ValueError(f"size guard: refuse a group of order {p}^{k} > {MAX_ORDER}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     g = cyclic_group(p)
     out = g
     for _ in range(k - 1):
@@ -363,6 +365,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: elements s^e r^i, index e*n + i."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_order(2 * n)
     e, i = np.divmod(np.arange(2 * n), n)
     # (s^e1 r^i1)(s^e2 r^i2) = s^(e1+e2) r^(i2 + (-1)^e2 i1)
     mul = (e[:, None] + e) % 2 * n + (i + (1 - 2 * e) * i[:, None]) % n

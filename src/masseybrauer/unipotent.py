@@ -19,12 +19,10 @@ import numpy as np
 from ._kernels import rref
 from .cochain_dga import Cochain
 from .fp_linalg import is_prime, row_space_basis
-from .group_core import Character, FiniteGroup, bfs_tree
+from .group_core import Character, FiniteGroup, _check_order, bfs_tree
 
 MAX_DIM = 5
 MAX_P = 5
-# the largest target order: its int64 table has 4096^2 entries, 134 MB
-MAX_ORDER = 4096
 
 
 class UnipotentGroup(FiniteGroup):
@@ -49,8 +47,7 @@ class UnipotentGroup(FiniteGroup):
         self.dim = dim
         self.positions = positions
         order = p ** len(positions)
-        if order > MAX_ORDER:
-            raise ValueError(f"size guard: refuse a target of order {order} > {MAX_ORDER}")
+        _check_order(order)
 
         mats = np.zeros((order, dim, dim), dtype=np.int64)
         mats[:, range(dim), range(dim)] = 1
@@ -67,7 +64,7 @@ class UnipotentGroup(FiniteGroup):
         # the transvections I + E_(i,i+1): a single digit 1 in the index
         gens = [p ** (len(positions) - 1 - positions.index((i, i + 1))) for i in range(n)]
         name = f"unipotent{'-bar' if bar else ''}:{n}:{p}"
-        super().__init__(mul, identity=0, generators=gens, name=name)
+        super().__init__(mul, generators=gens, name=name)
         self.matrices.setflags(write=False)
 
     def _index_of(self, mats: np.ndarray) -> np.ndarray:

@@ -272,6 +272,77 @@ class TestExitCodes:
         assert code == 1 and "error" in data
 
 
+# the certificate README.md shows for (6, 5) over Q(sqrt 2, sqrt 3)
+README_CERT = {
+    "class": [[6, 5]], "a_list": [2, 3], "x_list": [3, 1], "v0": "5",
+    "adjusted_a_list": [2, 3], "partition": [["2", "3"], []],
+    "t_parities": [0, 0], "verified": True,
+}
+
+
+class TestMalformedJson:
+    """Every integer read from JSON is a JSON integer (or a decimal string as
+    the CLI writes one beyond 2^53); anything else, and any wrong shape, is
+    exit 1 with {"error": ...}, never a truncation or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["q", "invariants", "--class", "[[2.9, 3]]"],
+            ["q", "decompose", "--class", "[[6, 5]]", "--a", "[2.2, 3]"],
+            ["q", "verify", "--cert", json.dumps(dict(README_CERT, x_list=[3.9, 1]))],
+            ["group", "cohomology", "--group", '{"table": [[0, 1.9], [1, 0]]}',
+             "--p", "2", "--degree", "1"],
+            ["group", "massey", "--group", "cyclic:3", "--p", "3",
+             "--chars", "[[1.7], [1], [1]]"],
+            ["group", "massey", "--group", "cyclic:3", "--p", "3",
+             "--chars", "[[true], [1], [1]]"],
+            ["q", "invariants", "--class", "[1]"],
+            ["group", "massey", "--group", "cyclic:3", "--p", "3", "--chars", "5"],
+            ["q", "split", "--class", "[[2, 3]]", "--a", "7"],
+            ["q", "verify", "--cert", "{}"],
+            ["group", "cohomology", "--group", '{"perm_degree": 3}',
+             "--p", "3", "--degree", "1"],
+        ],
+        ids=[
+            "float-class", "float-a", "float-x-list", "float-table", "float-chars",
+            "bool-chars", "class-not-pairs", "chars-not-list", "a-not-list",
+            "cert-empty", "perm-no-generators",
+        ],
+    )
+    def test_domain_error(self, capsys, argv):
+        code, data = run_json(capsys, argv)
+        assert code == 1 and list(data) == ["error"]
+
+    def test_integer_strings_only_as_written(self, capsys):
+        big = 5 * 2**54  # written as a decimal string
+        code, cert = run_json(
+            capsys, ["q", "decompose", "--class", f"[[6, {big}]]", "--a", "[2, 3]"]
+        )
+        assert code == 0 and cert["class"] == [[6, str(big)]]
+        code, data = run_json(capsys, ["q", "verify", "--cert", json.dumps(cert)])
+        assert code == 0 and data == {"valid": True, "reason": "ok"}
+        for small in ('"5"', f'"0{big}"', f'"+{big}"'):
+            code, data = run_json(capsys, ["q", "invariants", "--class", f"[[6, {small}]]"])
+            assert code == 1 and list(data) == ["error"]
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cyclic:4097",
+            json.dumps({"perm_degree": 8, "generators": [[2, 1, 3, 4, 5, 6, 7, 8],
+                                                         [2, 3, 4, 5, 6, 7, 8, 1]]}),
+        ],
+        ids=["builtin", "permutations"],
+    )
+    def test_refused_before_allocating(self, capsys, spec):
+        argv = ["group", "cohomology", "--group", spec, "--p", "2", "--degree", "1"]
+        code, data = run_json(capsys, argv)
+        assert code == 1 and "size guard" in data["error"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -429,6 +429,23 @@ class TestClassCoordinates:
         coords = class_coordinates(cup(chi, chi), cohomology(g, 2, 2))
         assert coords.shape == (1,) and coords[0] == 1
 
+    def test_one_cocycle_test_in_the_solve(self, monkeypatch):
+        def unused(c):
+            raise AssertionError("coordinates applied the differential")
+
+        monkeypatch.setattr(cochain_dga, "differential", unused)
+        g = cyclic_group(2)
+        basis = get_ring(g, 2).basis(2)
+        assert basis.coordinates(basis.representatives[0]).tolist() == [1]
+        bad = Cochain(g, 2, 2, np.asarray([[0, 1], [0, 0]]))
+        with pytest.raises(ValueError, match="not a cocycle"):
+            basis.coordinates(bad)
+        with pytest.raises(ValueError, match="not a cocycle"):
+            basis.coordinates_batch(bad.flat()[:, None])
+        other = Cochain(cyclic_group(3), 2, 2, np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            basis.coordinates(other)
+
     def test_non_cocycle_rejected(self):
         g = cyclic_group(2)
         basis = cohomology(g, 2, 2)

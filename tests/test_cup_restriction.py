@@ -12,6 +12,7 @@ from masseybrauer.cup_restriction import (
 from masseybrauer.fp_linalg import in_row_space, row_spaces_equal
 from masseybrauer.group_core import (
     Character,
+    Subgroup,
     cyclic_group,
     elementary_abelian,
     kernel_of_characters,
@@ -63,6 +64,11 @@ class TestLambdaImage:
 
 
 class TestResKernel:
+    def test_zero_h2_builds_no_subgroup_ring(self, rings_built):
+        g = cyclic_group(6)  # H^2(Z/6, Z/5) = 0
+        assert res_kernel_h2(g, Subgroup(g, (0, 2, 4)), 5).shape == (0, 0)
+        assert all(k is g for k in rings_built)
+
     def test_whole_group(self):
         g = builtin_group("elab:2:2")
         assert res_kernel_h2(g, whole_group(g), 2).shape[0] == 0

@@ -108,7 +108,7 @@ class TestConstructors:
     def test_cyclic(self):
         g = cyclic_group(6)
         assert g.order == 6
-        assert g.power(1, 6) == g.identity
+        assert g.element_orders()[1] == 6
 
     def test_dihedral(self):
         g = dihedral_group(4)
@@ -145,6 +145,42 @@ class TestConstructors:
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroup(np.asarray([[0, 1], [0, 1]]))
+
+
+class TestOrderBound:
+    """Every builder refuses an order above MAX_ORDER before it allocates the
+    order x order table, so none of these asks for gigabytes."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: builtin_group("cyclic:4097"),
+            lambda: builtin_group("elab:2:13"),
+            lambda: builtin_group("elab:2:1000000000"),
+            lambda: builtin_group("dihedral:2049"),
+            lambda: direct_product(cyclic_group(64), cyclic_group(65)),
+            # S_8, order 40320: the closure stops at its 4097th element
+            lambda: close_generators([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]),
+        ],
+        ids=["cyclic", "elab", "elab-huge-k", "dihedral", "direct-product", "permutations"],
+    )
+    def test_refused(self, build):
+        with pytest.raises(ValueError, match="size guard"):
+            build()
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(group_core, "MAX_ORDER", 6)
+        assert cyclic_group(6).order == dihedral_group(3).order == 6
+        assert close_generators([[1, 2, 0], [1, 0, 2]]).order == 6  # S_3
+        for build in (
+            lambda: cyclic_group(7),
+            lambda: dihedral_group(4),
+            lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+            lambda: elementary_abelian(2, 3),
+            lambda: close_generators([[1, 2, 3, 0], [1, 0, 2, 3]]),  # S_4
+        ):
+            with pytest.raises(ValueError, match="size guard"):
+                build()
 
 
 class TestTableIdentity:
