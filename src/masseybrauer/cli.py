@@ -58,6 +58,17 @@ def _ints(x, what: str) -> list[int]:
     return [_int(v) for v in _list(x, what)]
 
 
+def _place(x) -> Place:
+    """A place as `_cert_json` writes one: "inf", or a prime as its
+    canonical decimal string; JSON numbers, padding, signs and fractions
+    are domain errors."""
+    if x == "inf":
+        return Place.real()
+    if isinstance(x, str) and re.fullmatch("[0-9]+", x) and str(int(x)) == x:
+        return Place.prime(int(x))
+    raise ValueError(f"expected a place, got {json.dumps(x)}")
+
+
 def _emit(payload) -> None:
     json.dump(payload, sys.stdout, separators=(", ", ": "))
     sys.stdout.write("\n")
@@ -140,12 +151,12 @@ def _cert_from_json(data) -> DecompositionCertificate:
         symbols=_symbols(data.get("class")),
         a_list=_ints(data.get("a_list"), "a_list"),
         x_list=_ints(data.get("x_list"), "x_list"),
-        v0=None if data.get("v0") is None else Place.parse(str(data["v0"])),
+        v0=None if data.get("v0") is None else _place(data["v0"]),
         adjusted_a_list=None
         if data.get("adjusted_a_list") is None
         else _ints(data["adjusted_a_list"], "adjusted_a_list"),
         partition=[
-            [Place.parse(str(v)) for v in _list(part, "partition part")]
+            [_place(v) for v in _list(part, "partition part")]
             for part in _list(data.get("partition"), "partition")
         ],
         t_parities=_ints(data.get("t_parities"), "t_parities"),

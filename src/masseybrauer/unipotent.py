@@ -4,9 +4,19 @@ and the dictionary between defining systems and prescribed homomorphisms.
 The dictionary sends an array (c_ij) of 1-cochains to the matrix map
 gamma(s)_ij = (-1)^(j-i) c_(i,j-1)(s); it is a homomorphism into the full
 group exactly when the array closes at every position, and into the central
-quotient when position (1,n) is allowed to fail.  A homomorphism with
-prescribed superdiagonal characters is found by one F_p solve over the
-entries of the generator images (`find_prescribed_hom`).
+quotient when position (1,n) is allowed to fail.
+
+A homomorphism with prescribed superdiagonal characters
+(`find_prescribed_hom`) is a solve for the entries above the superdiagonal
+of the generator images.  Extended along a BFS tree of the Cayley graph,
+every entry of rho(g) is a sum over the tree path to g, and the relations
+rho(g s) = rho(g) rho(s) have one relator matrix R as every entry's
+coefficients on its own unknowns (`Relators`, eliminated once per group and
+modulus).  The entries (i, i + 2) need nothing but R and constants from the
+characters, so one batched solve decides chi_i u chi_(i+1) = 0 for every i,
+which is where most calls end.  The rest of the system is block lower
+triangular and small; one reversed-column RREF of it gives the
+lexicographically least homomorphism.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from ._kernels import rref
 from .cochain_dga import Cochain
-from .fp_linalg import is_prime, row_space_basis
+from .fp_linalg import Solver, is_prime, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, _check_order, bfs_tree
 
 MAX_DIM = 5
@@ -55,11 +65,18 @@ class UnipotentGroup(FiniteGroup):
         mats[:, rows, cols] = list(itertools.product(range(p), repeat=len(positions)))
         self.matrices = mats
 
-        # index of every product, digit by digit: entry (i, j) of a b is row i
-        # of a times column j of b (as `_index_of` reads a batch of matrices)
+        # index of every product, digit by digit (as `_index_of` reads a batch
+        # of matrices): entry (i, j) of a b is a_ij + b_ij + sum a_ik b_kj over
+        # i < k < j, below 2^15 (p <= MAX_P), so int16 order x order terms
+        entry = mats.astype(np.int16)
         mul = np.zeros((order, order), dtype=np.int64)
         for i, j in positions:
-            mul = mul * p + mats[:, i, :] @ mats[:, :, j].T % p
+            digit = entry[:, i, j, None] + entry[None, :, i, j]
+            for k in range(i + 1, j):
+                digit += entry[:, i, k, None] * entry[None, :, k, j]
+            digit %= p
+            mul *= p
+            mul += digit
 
         # the transvections I + E_(i,i+1): a single digit 1 in the index
         gens = [p ** (len(positions) - 1 - positions.index((i, i + 1))) for i in range(n)]
@@ -174,6 +191,104 @@ def gamma_from_system(
     return GammaMap(g, n, p, full_images, bar_images, is_full, is_bar)
 
 
+class Relators:
+    """The relations of a map defined along the BFS tree of the Cayley graph
+    (`bfs_tree` from the identity by the generating set), for one group and
+    modulus.
+
+    Every g != e is reached as parent[g] s_via[g].  An entry of rho(g) is a
+    sum over the tree edges of the path to g, so its coefficient on that
+    entry's own generator values is paths[g], the generators counted along
+    the path, and the relations rho(g s) = rho(g) rho(s) have the relator
+    matrix R = paths[g s] - paths[g] - e_s (rows by (g, s)) as that
+    coefficient.  `solver` eliminates R once; `reduced` is its RREF and
+    `kernel` spans its null space, the characters' values on the
+    generators.  pairs[g, k, l] counts the edges via s_l of the path to g,
+    each weighted by the s_k in the path to its start.  No array is
+    |G| x |G|."""
+
+    def __init__(self, group: FiniteGroup, p: int):
+        gens = group.generating_set()
+        self.parent = np.zeros(group.order, dtype=np.int64)
+        self.via = np.zeros(group.order, dtype=np.int64)
+        for kids, parents, via in bfs_tree(group, gens):
+            self.parent[kids], self.via[kids] = parents, via
+        # jumps[k][g]: the 2^k-th ancestor of g, the identity past the root
+        self.jumps, up = [], self.parent
+        while up.any():
+            self.jumps.append(up)
+            up = up[up]
+        self.gens = np.asarray(gens, dtype=np.int64)
+        self.ends = group.mul[:, gens]
+        edge = np.eye(len(gens), dtype=np.int64)[self.via]
+        edge[group.identity] = 0
+        self.paths = self.path_sums(edge) % p
+        self.pairs = self.path_sums(self.paths[self.parent, :, None] * edge[:, None]) % p
+        matrix = self.paths[self.ends] - self.paths[:, None] - np.eye(len(gens), dtype=np.int64)
+        matrix = matrix.reshape(-1, len(gens)) % p
+        self.p, self.solver = p, Solver(matrix, p)
+        red, pivots = rref(matrix, p)
+        self.reduced = red[: len(pivots)]
+        self.kernel = null_space_rows(red, pivots, p)
+
+    def path_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sums of values[h] over the path h != e from the identity to each
+        g (axis 0), in log2(depth) doubling steps; values[e] must be 0."""
+        for up in self.jumps:
+            values = values + values[up]
+        return values
+
+    def distance_two(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and the constants of the distance-2 relations R x_i = c_i, for
+        the character table values[g, i].  F[g, i], the entry (i, i + 2) of
+        rho(g) when x_i = 0, is the path sum of chi_i(parent) chi_(i+1)(via),
+        and c_i(g, s) = F_i(g) + chi_i(g) chi_(i+1)(s) - F_i(g s) (column i)."""
+        at = values[self.gens]
+        f = ((self.pairs @ at[:, 1:]) * at[:, :-1]).sum(axis=1)
+        cross = values[:, None, :-1] * at[None, :, 1:]
+        return f, (f[:, None] + cross - f[self.ends]).reshape(-1, values.shape[1] - 1)
+
+    def entries(self, gen: dict, forms: dict, d: int):
+        """The affine forms of the entries (i, i + d) of every rho(g),
+        summed along the tree paths, and of their relations at every (g, s).
+
+        gen[t] and forms[t] hold the forms of the entries (i, i + t) of
+        rho(s_k) (k, i, column) and of rho(g) (g, i, column).  An entry
+        (i, j) of rho(g) rho(s) adds rho(s)_ij and rho(g)_ik rho(s)_kj for
+        i < k < j to rho(g)_ij."""
+        npos = gen[d].shape[1]
+        step = gen[d][None]
+        for t in range(1, d):
+            step = step + _times(forms[t][:, None, :npos], gen[d - t][None, :, t : t + npos])
+        along = step[self.parent, self.via]
+        along[0] = 0  # the identity
+        own = self.path_sums(along) % self.p
+        return own, (own[self.ends] - own[:, None] - step) % self.p
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of affine forms [coefficients | constant], one of them
+    constant (the product of two unknowns is never formed)."""
+    out = a[..., -1:] * b + b[..., -1:] * a
+    out[..., -1] -= a[..., -1] * b[..., -1]
+    return out
+
+
+def _least(rows: list[np.ndarray], p: int) -> np.ndarray | None:
+    """The solution [x, 1] of rows [x, 1] = 0 whose reversed coordinates are
+    lexicographically least, or None.  In the RREF each pivot unknown is a
+    constant minus free later columns, which come earlier in the reversed
+    order: with every free unknown 0, each coordinate in turn is as small
+    as the earlier ones allow."""
+    a = np.concatenate(rows)
+    red, pivots = rref(a[a.any(axis=1)], p)
+    if len(pivots) and pivots[-1] == a.shape[1] - 1:
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    x[pivots], x[-1] = -red[: len(pivots), -1] % p, 1
+    return x
+
+
 def find_prescribed_hom(
     group: FiniteGroup,
     chars: list[Character],
@@ -185,13 +300,19 @@ def find_prescribed_hom(
     generator images (element indices, in `group.generating_set()` order) is
     lexicographically least.
 
-    One F_p solve for the entries with j - i >= 2 of the generator images.
-    Extended to G along a BFS tree of the Cayley graph, every entry with
-    j - i <= 3 is affine in them (each product term has a superdiagonal
-    factor, a fixed character value); every other edge (g, s) gives the
-    equations rho(g s) = rho(g) rho(s).  The bilinear m_02 m_24 in the full
-    n = 4 corner is made affine by fixing the (0, 2) entries to each
-    solution of their own equations.
+    The unknowns are the entries with j - i >= 2 of the generator images.
+    Extended to G along the tree of `Relators`, the entry (i, j) of rho(g)
+    has coefficients paths[g] on its own unknowns, and every product term
+    in it has a superdiagonal factor, a fixed character value.  So the
+    relations at (i, j) are R on the own unknowns plus character-weighted
+    path sums of the unknowns nearer the diagonal: block lower triangular.
+    The distance-2 blocks have only constants besides R, and one
+    `solve_many` on the cached solver decides them all; most calls end
+    there with None.  A consistent block is x_i in x2_i + ker R, which the
+    RREF rows of R state.  With them, the relations at distance 3 go into
+    one reversed-column RREF that gives the least solution.  The bilinear
+    m_02 m_24 in the full n = 4 corner is made affine by fixing the (0, 2)
+    unknowns to each solution of their block in turn.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -201,74 +322,64 @@ def find_prescribed_hom(
     if any(c.group is not group or c.p != p for c in chars):
         raise ValueError("characters on the wrong group or modulus")
     target = build_unipotent(n, p, bar)
-    gens = group.generating_set()
-    consts = np.repeat(np.eye(n + 1, dtype=np.int64)[None], len(gens), axis=0)
-    consts[:, range(n), range(1, n + 1)] = np.array([c.values for c in chars]).T[gens]
-    free = [(i, j) for i, j in target.positions if j - i >= 2]
-
-    def least_images(consts, free):
-        """The image table whose generator images are least, with rho(s_k)
-        equal to consts[k] off `free`, or None.  Columns are reversed, so in
-        the RREF each pivot unknown is a constant minus free earlier
-        unknowns: with every free unknown 0, each coordinate in turn is as
-        small as the earlier ones allow."""
-        rows, forms = _equations(group, consts, free, p)
-        if rows[~rows[:, :-1].any(axis=1), -1].any():
-            return None  # a row 0 = c != 0 needs no elimination
-        red, pivots = rref(rows, p)
-        if len(pivots) and pivots[-1] == rows.shape[1] - 1:
+    rel = group.cached(("relators", p), lambda: Relators(group, p))
+    values = np.array([c.values for c in chars]).T
+    last = n - 1 if bar else n  # the bar quotient drops the corner (0, n)
+    if last >= 2:
+        at_zero, constants = rel.distance_two(values)
+        x2, ok = rel.solver.solve_many(constants)
+        if not ok.all():
             return None
-        x = np.zeros(rows.shape[1])  # [x_{U-1}, ..., x_0, 1]
-        x[pivots], x[-1] = -red[: len(pivots), -1] % p, 1
-        return target._index_of(np.einsum("gicj,c->gij", forms, x).astype(np.int64) % p)
-
-    if (0, 4) not in free:
-        img = least_images(consts, free)
+    gens = group.generating_set()
+    free = [(i, j) for i, j in target.positions if j - i >= 2]
+    width = len(gens) * len(free) + 1
+    # affine forms [coefficients | constant]: forms[t][g, i] of rho(g)_(i,i+t),
+    # gen[t][k, i] of rho(s_k)_(i,i+t); the unknown rho(s_k) at free[f] is
+    # column width - 2 - k * len(free) - f, so the columns run backwards
+    unknown = width - 2 - np.arange(len(free)) - len(free) * np.arange(len(gens))[:, None]
+    forms = {1: np.zeros((group.order, n, width), dtype=np.int64)}
+    forms[1][..., -1] = values
+    gen = {1: forms[1][gens]}
+    for t in range(2, last + 1):
+        gen[t] = np.zeros((len(gens), n + 1 - t, width), dtype=np.int64)
+    for f, (i, j) in enumerate(free):
+        gen[j - i][range(len(gens)), i, unknown[:, f]] = 1
+    rows = [np.zeros((0, width), dtype=np.int64)]
+    if last >= 2:
+        # x_i in x2[:, i] + ker R: the RREF rows of R in place of the relations
+        at = np.arange(n - 1), unknown[:, [free.index((i, i + 2)) for i in range(n - 1)]]
+        forms[2] = np.zeros((group.order, n - 1, width), dtype=np.int64)
+        forms[2][:, at[0], at[1]] = rel.paths[:, :, None]
+        forms[2][..., -1] = at_zero
+        block = np.zeros((len(rel.reduced), n - 1, width), dtype=np.int64)
+        block[:, at[0], at[1]] = rel.reduced[:, :, None]
+        block[..., -1] = -rel.reduced @ x2
+        rows.append(block.reshape(-1, width))
+    if last >= 3:
+        forms[3], relations = rel.entries(gen, forms, 3)
+        rows.append(relations.reshape(-1, width))
+    if last < 4:
+        x = _least(rows, p)
     else:
-        rows, _ = _equations(group, consts, [(0, 2)], p)
-        fixes = np.asarray(list(itertools.product(range(p), repeat=len(gens))))
-        fixes = fixes[~(np.c_[fixes[:, ::-1], np.ones(len(fixes))] @ rows.T % p).any(axis=1)]
-        sliced = np.repeat(consts[None], len(fixes), axis=0)
-        sliced[:, :, 0, 2] = fixes
-        found = [least_images(c, free[1:]) for c in sliced]  # free[0] is (0, 2)
-        found = [f for f in found if f is not None]
-        img = min(found, key=lambda f: tuple(f[gens]), default=None)
-    return None if img is None else GroupHom(group, target, img)
-
-
-def _equations(group: FiniteGroup, consts: np.ndarray, free, p: int):
-    """Rows [coefficients | constant] of rho(g s) - rho(g) rho(s) = 0 at the
-    positions `free` for every g and generator s, and the affine matrices
-    rho(g) along a BFS tree; rho(s_k) is consts[k] with unknowns at `free`,
-    unknown u (by generator, then position) in column U - 1 - u.  Affine
-    matrices are arrays [i, column, j].  Their float64 products are exact
-    (entries are residues below MAX_P) and leave out products of two unknown
-    entries (none with j - i <= 3)."""
-    tree = group.cached("generator_tree", lambda: bfs_tree(group, group.generating_set()))
-    gens, dim = consts.shape[:2]
-    rows_at, cols_at = np.asarray(free, dtype=np.int64).reshape(-1, 2).T
-    cols = gens * len(free) + 1
-    lin = np.zeros((gens, dim, cols, dim))
-    u = np.arange(cols - 2, -1, -1).reshape(gens, len(free))
-    lin[np.arange(gens)[:, None], rows_at, u, cols_at] = 1
-    by_const = consts.transpose(1, 0, 2).reshape(dim, -1).astype(np.float64)
-    by_lin = lin.transpose(1, 2, 0, 3).reshape(dim, -1)
-
-    def times_generators(forms):  # [g, i, c, k, j]: forms[g] rho(s_k)
-        shape = (len(forms), dim, cols, gens, dim)
-        const_part = (forms.reshape(-1, dim) @ by_const).reshape(shape)
-        return const_part + (forms[:, :, -1].reshape(-1, dim) @ by_lin).reshape(shape)
-
-    forms = np.zeros((group.order, dim, cols, dim))
-    forms[group.identity, :, -1] = np.eye(dim)
-    for kids, parents, via in tree:
-        step = times_generators(forms[parents])[np.arange(len(kids)), :, :, via]
-        forms[kids] = np.fmod(step, p)  # nonnegative: fmod is % without its float cost
-    prod = times_generators(forms)[:, rows_at, :, :, cols_at]
-    ends = group.mul[:, group.generating_set()]
-    rows = forms[:, rows_at, :, cols_at][:, ends] - prod.transpose(0, 1, 3, 2)
-    rows = rows.reshape(-1, cols).astype(np.int64) % p
-    return rows[rows.any(axis=1)], forms
+        x, cols = None, unknown[:, 0]  # free[0] is (0, 2)
+        shifts = np.array(list(itertools.product(range(p), repeat=len(rel.kernel))))
+        for fix in (x2[:, 0] + shifts @ rel.kernel) % p:
+            fixed = {**forms, 2: forms[2].copy()}  # rho(g)_02 a constant
+            fixed[2][:, 0, cols], fixed[2][:, 0, -1] = 0, rel.paths @ fix + at_zero[:, 0]
+            corner, relations = rel.entries(gen, fixed, 4)
+            pinned = np.zeros((len(gens), width), dtype=np.int64)
+            pinned[range(len(gens)), cols], pinned[:, -1] = 1, -fix
+            y = _least(rows + [pinned, relations.reshape(-1, width)], p)
+            # the unknowns in order, y[-2::-1], order the generator images
+            if y is not None and (x is None or y[-2::-1].tolist() < x[-2::-1].tolist()):
+                x, forms[4] = y, corner
+    if x is None:
+        return None
+    mats = np.zeros((group.order, n + 1, n + 1), dtype=np.int64)
+    mats[:, range(n + 1), range(n + 1)] = 1
+    for t, form in forms.items():
+        mats[:, range(n + 1 - t), range(t, n + 1)] = form @ x % p
+    return GroupHom(group, target, target._index_of(mats))
 
 
 def check_surjective(hom: GroupHom) -> bool:

@@ -6,14 +6,16 @@ residue enumeration (with a Hensel-lifting argument fixing the modulus), and
 the linear-algebra oracles enumerate vectors outright.  The group oracles
 test every group law on every triple, and the reference builders fill group
 tables one entry at a time from their defining formulas.  `realize_by_scan`
-finds x by trying every candidate of the documented scan order in turn, and
+finds x by trying every candidate of the documented scan order in turn.
 `prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
-depth-first search over generator images.  `coboundary_rows` writes rows
-of the matrix of d entry by entry from the bar formula, independently of the
-library's one batched differential.  `cohomology_by_full_stream` builds an
-H^degree basis from all of d^degree, with an [A | I] `TransformSolver` for
-coordinates, and `cocycles_by_generator_rows` reduces Z^degree from the rows
-of d^degree whose last argument is e or a generator.
+depth-first search over generator images, and `prescribed_hom_by_tree_system`
+by eliminating every relation of affine matrices walked along a BFS tree.
+`coboundary_rows` writes rows of the matrix of d entry by entry from the bar
+formula, independently of the library's one batched differential.
+`cohomology_by_full_stream` builds an H^degree basis from all of d^degree,
+with an [A | I] `TransformSolver` for coordinates, and
+`cocycles_by_generator_rows` reduces Z^degree from the rows of d^degree whose
+last argument is e or a generator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
 from masseybrauer.fp_linalg import null_space_rows, row_space_basis
-from masseybrauer.group_core import Character, FiniteGroup
+from masseybrauer.group_core import Character, FiniteGroup, bfs_tree
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
 from masseybrauer.unipotent import GroupHom, build_unipotent
 
@@ -514,6 +516,95 @@ def prescribed_hom_by_backtracking(
     if (img < 0).any():
         raise RuntimeError("generators did not generate the group")
     return GroupHom(group, target, img.copy())
+
+
+def prescribed_hom_by_tree_system(
+    group: FiniteGroup,
+    chars: list[Character],
+    n: int,
+    bar: bool = False,
+) -> GroupHom | None:
+    """`find_prescribed_hom` by one reversed-column RREF of every relation
+    rho(g s) = rho(g) rho(s) at the free positions, with rho(g) walked
+    level by level along the BFS tree as float64 affine matrices (the
+    construction before the relator matrix); full n = 4 solves the whole
+    system again for each solution of the (0, 2) equations."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if len(chars) != n:
+        raise ValueError(f"need exactly {n} characters")
+    p = chars[0].p
+    if any(c.group is not group or c.p != p for c in chars):
+        raise ValueError("characters on the wrong group or modulus")
+    target = build_unipotent(n, p, bar)
+    gens = group.generating_set()
+    consts = np.repeat(np.eye(n + 1, dtype=np.int64)[None], len(gens), axis=0)
+    consts[:, range(n), range(1, n + 1)] = np.array([c.values for c in chars]).T[gens]
+    free = [(i, j) for i, j in target.positions if j - i >= 2]
+
+    def least_images(consts, free):
+        """The image table whose generator images are least, with rho(s_k)
+        equal to consts[k] off `free`, or None.  Columns are reversed, so in
+        the RREF each pivot unknown is a constant minus free earlier
+        unknowns: with every free unknown 0, each coordinate in turn is as
+        small as the earlier ones allow."""
+        rows, forms = _tree_equations(group, consts, free, p)
+        if rows[~rows[:, :-1].any(axis=1), -1].any():
+            return None  # a row 0 = c != 0 needs no elimination
+        red, pivots = rref(rows, p)
+        if len(pivots) and pivots[-1] == rows.shape[1] - 1:
+            return None
+        x = np.zeros(rows.shape[1])  # [x_{U-1}, ..., x_0, 1]
+        x[pivots], x[-1] = -red[: len(pivots), -1] % p, 1
+        return target._index_of(np.einsum("gicj,c->gij", forms, x).astype(np.int64) % p)
+
+    if (0, 4) not in free:
+        img = least_images(consts, free)
+    else:
+        rows, _ = _tree_equations(group, consts, [(0, 2)], p)
+        fixes = np.asarray(list(itertools.product(range(p), repeat=len(gens))))
+        fixes = fixes[~(np.c_[fixes[:, ::-1], np.ones(len(fixes))] @ rows.T % p).any(axis=1)]
+        sliced = np.repeat(consts[None], len(fixes), axis=0)
+        sliced[:, :, 0, 2] = fixes
+        found = [least_images(c, free[1:]) for c in sliced]  # free[0] is (0, 2)
+        found = [f for f in found if f is not None]
+        img = min(found, key=lambda f: tuple(f[gens]), default=None)
+    return None if img is None else GroupHom(group, target, img)
+
+
+def _tree_equations(group: FiniteGroup, consts: np.ndarray, free, p: int):
+    """Rows [coefficients | constant] of rho(g s) - rho(g) rho(s) = 0 at the
+    positions `free` for every g and generator s, and the affine matrices
+    rho(g) along a BFS tree; rho(s_k) is consts[k] with unknowns at `free`,
+    unknown u (by generator, then position) in column U - 1 - u.  Affine
+    matrices are arrays [i, column, j].  Their float64 products are exact
+    (entries are residues below MAX_P) and leave out products of two unknown
+    entries (none with j - i <= 3)."""
+    tree = group.cached("generator_tree", lambda: bfs_tree(group, group.generating_set()))
+    gens, dim = consts.shape[:2]
+    rows_at, cols_at = np.asarray(free, dtype=np.int64).reshape(-1, 2).T
+    cols = gens * len(free) + 1
+    lin = np.zeros((gens, dim, cols, dim))
+    u = np.arange(cols - 2, -1, -1).reshape(gens, len(free))
+    lin[np.arange(gens)[:, None], rows_at, u, cols_at] = 1
+    by_const = consts.transpose(1, 0, 2).reshape(dim, -1).astype(np.float64)
+    by_lin = lin.transpose(1, 2, 0, 3).reshape(dim, -1)
+
+    def times_generators(forms):  # [g, i, c, k, j]: forms[g] rho(s_k)
+        shape = (len(forms), dim, cols, gens, dim)
+        const_part = (forms.reshape(-1, dim) @ by_const).reshape(shape)
+        return const_part + (forms[:, :, -1].reshape(-1, dim) @ by_lin).reshape(shape)
+
+    forms = np.zeros((group.order, dim, cols, dim))
+    forms[group.identity, :, -1] = np.eye(dim)
+    for kids, parents, via in tree:
+        step = times_generators(forms[parents])[np.arange(len(kids)), :, :, via]
+        forms[kids] = np.fmod(step, p)  # nonnegative: fmod is % without its float cost
+    prod = times_generators(forms)[:, rows_at, :, :, cols_at]
+    ends = group.mul[:, group.generating_set()]
+    rows = forms[:, rows_at, :, cols_at][:, ends] - prod.transpose(0, 1, 3, 2)
+    rows = rows.reshape(-1, cols).astype(np.int64) % p
+    return rows[rows.any(axis=1)], forms
 
 
 class TransformSolver:

@@ -314,6 +314,19 @@ class TestMalformedJson:
         code, data = run_json(capsys, argv)
         assert code == 1 and list(data) == ["error"]
 
+    @pytest.mark.parametrize("v0", [5, " 5", True, "5.0"],
+                             ids=["number", "padded", "bool", "float-string"])
+    def test_place_not_as_written(self, capsys, v0):
+        for cert in (dict(README_CERT, v0=v0), dict(README_CERT, partition=[["2", v0], []])):
+            code, data = run_json(capsys, ["q", "verify", "--cert", json.dumps(cert)])
+            assert code == 1 and list(data) == ["error"]
+
+    @pytest.mark.parametrize("v0", ["5", "inf"])
+    def test_place_as_written_verifies(self, capsys, v0):
+        cert = json.dumps(dict(README_CERT, v0=v0))
+        code, data = run_json(capsys, ["q", "verify", "--cert", cert])
+        assert code == 0 and data == {"valid": True, "reason": "ok"}
+
     def test_integer_strings_only_as_written(self, capsys):
         big = 5 * 2**54  # written as a decimal string
         code, cert = run_json(

@@ -15,7 +15,7 @@ from masseybrauer.unipotent import (
     frattini_criterion,
     gamma_from_system,
 )
-from oracles import prescribed_hom_by_backtracking
+from oracles import prescribed_hom_by_backtracking, prescribed_hom_by_tree_system
 
 
 class TestBuildUnipotent:
@@ -257,6 +257,50 @@ class TestMatchesBacktracking:
     @pytest.mark.parametrize("name", ["elab:3:3", "unipotent:2:3", "cyclic:27"])
     def test_order_27_sample(self, name):
         _assert_matches_backtracking(builtin_group(name), 3, (2, 3), (False, True), sample=25)
+
+
+class TestMatchesTreeSystem:
+    """The relator solve returns the image table of the BFS-tree system it
+    replaced, byte for byte, on tuples of nonzero characters."""
+
+    @pytest.mark.parametrize(
+        "name,p,n,sample",
+        [("unipotent:3:2", 2, 3, None), ("dihedral:8", 2, 4, None), ("elab:3:3", 3, 3, 200)],
+    )
+    def test_image_tables(self, name, p, n, sample):
+        g = builtin_group(name)
+        nonzero = [c for c in _all_characters(g, p) if c.values.any()]
+        tuples = _tuples(nonzero, n, sample, seed=n)
+        assert len(tuples) == sample or len(tuples) == len(nonzero) ** n
+        for t in tuples:
+            for bar in (False, True):
+                got = find_prescribed_hom(g, list(t), n, bar=bar)
+                want = prescribed_hom_by_tree_system(g, list(t), n, bar=bar)
+                where = (name, n, bar, [c.values.tolist() for c in t])
+                assert (got is None) == (want is None), where
+                if got is not None:
+                    assert got.images.tobytes() == want.images.tobytes(), where
+
+
+class TestCupCriterion:
+    """Against cohomology, not the relator code: (chi_0, chi_1) lifts to
+    U_3(F_p) iff chi_0 u chi_1 = 0 in H^2, and (chi_0, chi_1, chi_2) lifts
+    to the bar quotient of U_4(F_p) iff both adjacent cups vanish."""
+
+    @pytest.mark.parametrize("name,p", SCAN_HOM_GROUPS + [("elab:2:4", 2), ("unipotent:2:3", 3)])
+    def test_lift_iff_cups_vanish(self, name, p):
+        g = builtin_group(name)
+        chars = _all_characters(g, p)
+        cochains = [Cochain.from_character(c) for c in chars]
+        flats = np.stack([cup(a, b).flat() for a in cochains for b in cochains], axis=1)
+        coords = get_ring(g, p).basis(2).coordinates_batch(flats)
+        vanishes = ~coords.any(axis=0).reshape(len(chars), len(chars))
+        for i, j in itertools.product(range(len(chars)), repeat=2):
+            hom = find_prescribed_hom(g, [chars[i], chars[j]], 2)
+            assert (hom is not None) == vanishes[i, j], (name, i, j)
+        for i, j, k in itertools.product(range(len(chars)), repeat=3):
+            hom = find_prescribed_hom(g, [chars[i], chars[j], chars[k]], 3, bar=True)
+            assert (hom is not None) == (vanishes[i, j] and vanishes[j, k]), (name, i, j, k)
 
 
 class TestDictionaryVsMassey:
