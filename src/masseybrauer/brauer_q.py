@@ -57,6 +57,16 @@ class Place:
 REAL = Place.real()
 
 
+def _prime_place(q: int) -> Place:
+    """`Place.prime(q)` for a q already known to be prime (a factor that
+    `factorize` returned, or a number `is_prime` accepted), without trial
+    dividing it again."""
+    place = object.__new__(Place)
+    object.__setattr__(place, "finite", True)
+    object.__setattr__(place, "q", q)
+    return place
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -157,7 +167,7 @@ def ramified_places(a: int, b: int) -> set[Place]:
     """The places v with (a, b)_v = -1.  Only infinity, 2 and the primes of
     a and b are candidates: at any other prime both entries are units."""
     primes = {2, *factorize(a), *factorize(b)}
-    places = [REAL] + [Place.prime(q) for q in primes]
+    places = [REAL] + [_prime_place(q) for q in primes]
     return {v for v in places if hilbert_symbol(a, b, v) == -1}
 
 
@@ -189,7 +199,7 @@ class BrauerClass2:
         for s in self.symbols:
             for n in (s.a, s.b):
                 primes.update(factorize(n))
-        return [REAL] + [Place.prime(q) for q in sorted(primes)]
+        return [REAL] + [_prime_place(q) for q in sorted(primes)]
 
     def local_invariants(self) -> dict[Place, Fraction]:
         """Map from places to nonzero invariants (each 1/2), in place order;

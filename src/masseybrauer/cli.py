@@ -13,21 +13,20 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import brauer_q, lgp_decompose, massey
+# only the numpy-free Brauer side is imported here; the group handlers import
+# the group engine (and with it numpy) when they run
+from . import brauer_q, lgp_decompose
 from .brauer_q import BrauerClass2, Place
-from .catalog import builtin_group
-from .cochain_dga import get_ring
-from .cup_restriction import has_property
-from .group_core import FiniteGroup, close_generators
 from .lgp_decompose import (
     DecompositionCertificate,
     decompose,
     verify_certificate,
 )
-from .unipotent import check_surjective, find_prescribed_hom
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 _SAFE = 1 << 53
 
@@ -75,6 +74,11 @@ def _emit(payload) -> None:
 
 
 def _load_group(spec: str) -> FiniteGroup:
+    import numpy as np
+
+    from .catalog import builtin_group
+    from .group_core import FiniteGroup, close_generators
+
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             data = json.load(fh)
@@ -102,6 +106,10 @@ def _load_group(spec: str) -> FiniteGroup:
 
 
 def _load_chars(group: FiniteGroup, p: int, text: str):
+    import numpy as np
+
+    from .cochain_dga import get_ring
+
     ring = get_ring(group, p)
     dim = ring.basis(1).dim
     out = []
@@ -171,6 +179,8 @@ def _load_class(text: str) -> BrauerClass2:
 
 
 def _cmd_group_cohomology(args) -> dict:
+    from .cochain_dga import get_ring
+
     g = _load_group(args.group)
     basis = get_ring(g, args.p).basis(args.degree)
     return {
@@ -185,6 +195,8 @@ def _cmd_group_cohomology(args) -> dict:
 
 
 def _cmd_group_massey(args) -> dict:
+    from . import massey
+
     g = _load_group(args.group)
     chars = _load_chars(g, args.p, args.chars)
     if len(chars) != 3:
@@ -201,6 +213,8 @@ def _cmd_group_massey(args) -> dict:
 
 
 def _cmd_group_scan(args) -> dict:
+    from . import massey
+
     g = _load_group(args.group)
     report = massey.scan_vanishing(g, args.p)
     return {
@@ -220,6 +234,8 @@ def _cmd_group_scan(args) -> dict:
 
 
 def _cmd_group_cupres(args) -> dict:
+    from .cup_restriction import has_property
+
     g = _load_group(args.group)
     chars = _load_chars(g, args.p, args.chars)
     verdict = has_property(g, chars, args.p)
@@ -234,6 +250,8 @@ def _cmd_group_cupres(args) -> dict:
 
 
 def _cmd_group_uhom(args) -> dict:
+    from .unipotent import check_surjective, find_prescribed_hom
+
     g = _load_group(args.group)
     chars = _load_chars(g, args.p, args.chars)
     hom = find_prescribed_hom(g, chars, args.n, bar=args.bar)

@@ -20,6 +20,9 @@ from .fp_linalg import _check_prime, _freeze, is_prime
 # the largest order built: its int64 table has 4096^2 entries, 134 MB
 MAX_ORDER = 4096
 
+# entries per block of Light's test (2 MB of int64 per gathered side)
+_LIGHT_BLOCK_CELLS = 1 << 18
+
 
 def _check_order(n: int) -> None:
     """Refuse an order above MAX_ORDER before its table is allocated."""
@@ -62,6 +65,8 @@ class FiniteGroup:
         for all a, b contain the identity and are closed under products, so
         once the generating set reaches every element by right
         multiplication, checking each generator c is exact: O(n^2 |S|).
+        Both sides are gathered with `take` for a block of rows a at a time,
+        so the check adds two blocks, not two tables, to the peak.
         """
         mul, e, n = self.mul, self.identity, self.order
         if not np.array_equal(mul[e], np.arange(n)) or not np.array_equal(
@@ -72,9 +77,13 @@ class FiniteGroup:
         if not is_e.any(axis=1).all():
             raise ValueError("inverse law fails")
         self.inv = _freeze(is_e.argmax(axis=1))
+        step = max(1, _LIGHT_BLOCK_CELLS // n)
         for c in self.generating_set():
-            if not np.array_equal(mul[mul, c], mul[:, mul[:, c]]):
-                raise ValueError("associativity fails")
+            col = mul[:, c]  # col[x] = xc
+            for lo in range(0, n, step):
+                rows = mul[lo : lo + step]  # rows[a, b] = ab
+                if not np.array_equal(col.take(rows), rows.take(col, axis=1)):
+                    raise ValueError("associativity fails")
 
     def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The value memoized under `key`, built by `build()` on first use."""
@@ -353,12 +362,17 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ValueError(f"size guard: refuse a group of order {p}^{k} > {MAX_ORDER}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    g = cyclic_group(p)
-    out = g
-    for _ in range(k - 1):
-        out = direct_product(out, g)
-    out.name = f"elab:{p}:{k}"
-    return out
+    # element x * p + i has base-p digits (x, i): each step appends a digit,
+    # and digits add mod p without carry.  This is the table and generator
+    # order of the chain direct_product(...(Z/p x Z/p)..., Z/p), built and
+    # validated once.
+    c = np.arange(p)
+    add = (c[:, None] + c) % p
+    mul = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k):
+        mul = (mul[:, None, :, None] * p + add[:, None, :]).reshape(len(mul) * p, -1)
+    gens = [p**j for j in reversed(range(k))]
+    return FiniteGroup(mul, generators=gens, name=f"elab:{p}:{k}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:

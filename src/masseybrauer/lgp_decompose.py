@@ -21,6 +21,7 @@ from .brauer_q import (
     REAL,
     BrauerClass2,
     Place,
+    _prime_place,
     classes_equal,
     factorize,
     hilbert_symbol,
@@ -62,7 +63,7 @@ def find_v0(
         raise ValueError(f"{a1} is a global square")
     s_set = set(s_places)
     for q in _odd_primes(bound):
-        v = Place.prime(q)
+        v = _prime_place(q)
         if v in s_set or any(a % q == 0 for a in a_list):
             continue
         if is_local_square(a1, v):
@@ -129,7 +130,7 @@ def realize_as_cup(
     relevant.update(factorize(a))
     relevant.update(v.q for v in target if v.finite)
     pool = sorted(relevant)
-    places = [REAL] + [Place.prime(q) for q in pool]
+    places = [REAL] + [_prime_place(q) for q in pool]
 
     def mask(b: int) -> int:
         # bit i set iff (a, b) ramifies at places[i]
@@ -167,7 +168,7 @@ def realize_as_cup(
     def auxiliary():
         yield 1
         for w in _odd_primes(aux_prime_bound):
-            if w not in relevant and is_local_square(a, Place.prime(w)):
+            if w not in relevant and is_local_square(a, _prime_place(w)):
                 yield w
 
     for w in auxiliary():

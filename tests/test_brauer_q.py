@@ -31,6 +31,15 @@ class TestPlace:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             Place.prime(6)
+        for text in ("4", "1", "0", "-3"):
+            with pytest.raises(ValueError):
+                Place.parse(text)
+
+    def test_known_prime_place_equals_checked_place(self):
+        for q in (2, 3, 5, 7, 1_000_003):
+            v = brauer_q._prime_place(q)
+            assert v == Place.prime(q) and hash(v) == hash(Place.prime(q))
+            assert str(v) == str(q) and v.finite and REAL < v
 
     def test_ordering(self):
         places = [Place.prime(5), REAL, Place.prime(2)]

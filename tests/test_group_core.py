@@ -196,6 +196,16 @@ class TestTableIdentity:
         # the same table without generators takes the greedy set
         assert_same_group(FiniteGroup(g.mul), mul)
 
+    @pytest.mark.parametrize(
+        "p, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 8), (3, 5), (5, 3)]
+    )
+    def test_elementary_abelian_is_the_product_chain(self, p, k):
+        """The digit-addition table is the chain C_p x ... x C_p of the
+        reference builders, generators p^(k-1), ..., p, 1 included."""
+        mul, gens = reference_builtin(f"elab:{p}:{k}")
+        assert gens == [p**j for j in reversed(range(k))]
+        assert_same_group(elementary_abelian(p, k), mul, gens)
+
     @pytest.mark.parametrize("name", sorted(PERM_GROUPS))
     def test_close_generators(self, name):
         mul, gens = close_generators_by_loops(PERM_GROUPS[name])
@@ -260,28 +270,40 @@ class TestRejection:
         """Swapping two entries of a row (off the identity row and column)
         keeps the identity and inverse laws; relabelling the elements keeps a
         group.  FiniteGroup accepts exactly the tables the n^3 oracle does."""
-        g = builtin_group(name)
-        n = g.order
-        rng = np.random.default_rng(n)
-        verdicts = set()
-        for trial in range(6):
-            mul = g.mul.copy()
-            if trial % 3 == 2:
-                sigma = np.concatenate([[0], 1 + rng.permutation(n - 1)])
-                mul[np.ix_(sigma, sigma)] = sigma[g.mul]
-            elif n > 2:
-                a = rng.integers(1, n)
-                b, c = rng.choice(np.arange(1, n), size=2, replace=False)
-                mul[a, [b, c]] = mul[a, [c, b]]
-            expected = is_group_table(mul)
-            try:
-                FiniteGroup(mul)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == expected
-            verdicts.add(expected)
-        assert verdicts == ({True, False} if n > 2 else {True})
+        assert_perturbed_tables_match_oracle(builtin_group(name))
+
+    @pytest.mark.parametrize("name", ["dihedral:8", "elab:3:2", "unipotent:2:2"])
+    def test_row_blocks_match_oracle(self, name, monkeypatch):
+        """Light's test one row per block: a failure in any block is seen."""
+        monkeypatch.setattr(group_core, "_LIGHT_BLOCK_CELLS", 1)
+        assert_perturbed_tables_match_oracle(builtin_group(name))
+
+
+def assert_perturbed_tables_match_oracle(g):
+    """FiniteGroup accepts exactly the perturbed tables of g (two entries
+    of a row swapped, or the elements relabelled) that the n^3 oracle
+    accepts."""
+    n = g.order
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for trial in range(6):
+        mul = g.mul.copy()
+        if trial % 3 == 2:
+            sigma = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+            mul[np.ix_(sigma, sigma)] = sigma[g.mul]
+        elif n > 2:
+            a = rng.integers(1, n)
+            b, c = rng.choice(np.arange(1, n), size=2, replace=False)
+            mul[a, [b, c]] = mul[a, [c, b]]
+        expected = is_group_table(mul)
+        try:
+            FiniteGroup(mul)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+        verdicts.add(expected)
+    assert verdicts == ({True, False} if n > 2 else {True})
 
 
 class TestKernelOfCharacters:
