@@ -1,8 +1,9 @@
 """Per-layer timings: the F_p row reduction kernel by matrix shape,
 `realize_as_cup` by the number of odd primes of a, `find_prescribed_hom`
-by source group and target, and cold H^1 + H^2 bases by group.
+by source group and target, cold H^1 + H^2 bases by group, and warm
+vanishing scans by group.
 
-Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom] [h2]   (default: all)
+Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom] [h2] [scan]   (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
 (the shapes H^2 reduces, here built whole) and random dense matrices, full
@@ -31,6 +32,13 @@ new interpreter for each group: the `h2-cold` benchmark set, groups of order
 the group, p, dim H^1 and dim H^2, the time of the two bases (the group is
 built before the clock starts) and the peak RSS of that process in MB.
 
+The scan cases run `scan_vanishing` on `dihedral:16`@2, `unipotent:3:2`@2,
+`elab:3:3`@3 and `elab:2:5`@2.  One untimed call builds the ring, its
+cup table and the d1 solver; five more are timed.  Every call must find
+the known number of witnesses (0, 0, 104, 0), or the section exits with
+an error.  Each line gives the group, p, the number of triples and of
+witnesses, and the median and the largest call time in seconds.
+
 Every rref and realize time is the best of three calls, or one call when it
 takes over a second.
 """
@@ -51,6 +59,7 @@ from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix, get_ring
 from masseybrauer.fp_linalg import is_prime
 from masseybrauer.lgp_decompose import realize_as_cup
+from masseybrauer.massey import scan_vanishing
 from masseybrauer.unipotent import find_prescribed_hom
 
 
@@ -186,9 +195,30 @@ def bench_h2() -> None:
         print(f"{name:16s} {p:2d} {h1:>3s} {h2:>3s} {float(t):9.3f} {float(rss):8.1f}")
 
 
+# (group, p, witnesses of the vanishing scan)
+_SCAN = [("dihedral:16", 2, 0), ("unipotent:3:2", 2, 0), ("elab:3:3", 3, 104), ("elab:2:5", 2, 0)]
+
+
+def bench_scan() -> None:
+    print(f"{'group':16s} {'p':>2s} {'triples':>8s} {'witnesses':>9s} {'median_s':>9s} {'max_s':>9s}")
+    for name, p, want in _SCAN:
+        g = builtin_group(name)
+        times = []
+        for call in range(6):
+            t0 = time.perf_counter()
+            report = scan_vanishing(g, p)
+            if call:  # the first call builds the ring
+                times.append(time.perf_counter() - t0)
+            if len(report.witnesses) != want:
+                sys.exit(f"scan {name}@{p}: {len(report.witnesses)} witnesses, expected {want}")
+        t = np.asarray(times)
+        print(f"{name:16s} {p:2d} {len(report.entries):8d} {want:9d} {np.median(t):9.4f} {t.max():9.4f}")
+
+
 def main(sections: list[str]) -> None:
     benches = {
         "rref": bench_rref, "realize": bench_realize, "u-hom": bench_u_hom, "h2": bench_h2,
+        "scan": bench_scan,
     }
     for name in sections or list(benches):
         benches[name]()

@@ -245,6 +245,7 @@ class CohomologyRing:
         self.p = p
         self._basis: dict[int, CohomologyBasis] = {}
         self._d1_solver: Solver | None = None
+        self._cup_table: np.ndarray | None = None
 
     def d1_solver(self) -> Solver:
         """Solver for d c = (given 2-cochain), c of degree 1."""
@@ -289,19 +290,36 @@ class CohomologyRing:
             vals = (vals + int(t) * c.values) % self.p
         return Character(self.group, self.p, vals)
 
+    def cup_table(self) -> np.ndarray:
+        """T[a, b] = H^2 coordinates of phi_a u phi_b over the H^1 basis
+        (d x d x dim H^2), from one batched coordinate solve, built once."""
+        if self._cup_table is None:
+            h2 = self.basis(2)
+            n, d = self.group.order, self.basis(1).dim
+            reps = [c.values for c in self.basis(1).representatives]
+            phis = np.array(reps, dtype=np.int64).reshape(d, n)
+            # (phi_a u phi_b)(g, h) = phi_a(g) phi_b(h), one flattened table per pair
+            flats = (phis[:, None, :, None] * phis[None, :, None, :]).reshape(d * d, n * n) % self.p
+            coords = h2.coordinates_batch(flats.T).T.reshape(d, d, h2.dim)
+            self._cup_table = _freeze(coords)
+        return self._cup_table
+
     def cup_span(self, chars: list[Character]) -> np.ndarray:
-        """Echelon basis rows of sum_chi chi u H^1 in H^2 coordinates."""
+        """Echelon basis rows of sum_chi chi u H^1 in H^2 coordinates.
+
+        B^1 = 0, so a character with H^1 coordinates x is sum_a x_a phi_a as
+        a cochain, and by bilinearity chi u phi_b has coordinates
+        sum_a x_a T[a, b]: one coordinate solve for the characters, then
+        rows read from the cup table."""
         if any(c.group is not self.group or c.p != self.p for c in chars):
             raise ValueError("characters on a different group or modulus")
-        h2 = self.basis(2)
-        phis = [c.values for c in self.basis(1).representatives]
-        if not chars or not phis:
-            return np.zeros((0, h2.dim), dtype=np.int64)
-        n = self.group.order
-        left = np.stack([c.values for c in chars])[:, None, :, None]
-        # (chi u phi)(g, h) = chi(g) phi(h), one flattened table per pair
-        flats = (left * np.stack(phis)[None, :, None, :]).reshape(-1, n * n) % self.p
-        return row_space_basis(h2.coordinates_batch(flats.T).T, self.p)
+        dim = self.basis(2).dim
+        d = self.basis(1).dim
+        if not chars or not d:
+            return np.zeros((0, dim), dtype=np.int64)
+        x = self.basis(1).coordinates_batch(np.stack([c.values for c in chars]).T).T
+        rows = (x @ self.cup_table().reshape(d, d * dim)).reshape(len(chars) * d, dim)
+        return row_space_basis(rows % self.p, self.p)
 
 
 def get_ring(group: FiniteGroup, p: int) -> CohomologyRing:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import rref
-from .cochain_dga import get_ring, restrict
+from .cochain_dga import get_ring
 from .fp_linalg import in_row_space, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, Subgroup, kernel_of_characters
 
@@ -40,14 +40,18 @@ def lambda_image(group: FiniteGroup, chars: list[Character], p: int | None = Non
 
 
 def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
-    """Basis rows of Ker(res: H^2(G) -> H^2(K)) in H^2(G) coordinates."""
+    """Basis rows of Ker(res: H^2(G) -> H^2(K)) in H^2(G) coordinates.
+
+    The matrix of res has one column per G-representative: its values on
+    K x K, gathered from all representatives at once and solved for
+    H^2(K) coordinates in one batch."""
     h2 = get_ring(group, p).basis(2)
     if h2.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    sub_h2 = get_ring(sub.as_group()[0], p).basis(2)
-    # matrix of res in coordinates: column per G-representative
-    res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
-    coords = sub_h2.coordinates_batch(res)
+    k, emb = sub.as_group()
+    reps = np.stack([rep.values for rep in h2.representatives])
+    res = reps[:, emb[:, None], emb].reshape(h2.dim, -1).T
+    coords = get_ring(k, p).basis(2).coordinates_batch(res)
     return row_space_basis(null_space_rows(*rref(coords, p), p), p)
 
 

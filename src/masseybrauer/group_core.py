@@ -299,11 +299,21 @@ def kernel_of_characters(
     keep = np.ones(g.order, dtype=bool)
     for c in chars:
         keep &= c.values == 0
-    return Subgroup(g, tuple(np.flatnonzero(keep).tolist()))
+    return _closed_subgroup(g, tuple(np.flatnonzero(keep).tolist()))
 
 
 def whole_group(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, tuple(range(g.order)))
+    return _closed_subgroup(g, tuple(range(g.order)))
+
+
+def _closed_subgroup(g: FiniteGroup, members: tuple[int, ...]) -> Subgroup:
+    """`Subgroup(g, members)` for sorted members already known to form a
+    subgroup (a common kernel of homomorphisms, the whole group), without
+    checking closure again."""
+    sub = object.__new__(Subgroup)
+    object.__setattr__(sub, "parent", g)
+    object.__setattr__(sub, "members", members)
+    return sub
 
 
 def frattini_p_quotient(
@@ -339,7 +349,8 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise ValueError("n must be positive")
     _check_order(n)
     idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = np.add.outer(idx, idx)
+    np.remainder(mul, n, out=mul)  # in place: one n x n table at the peak
     return FiniteGroup(mul, generators=[1 % n] if n > 1 else [0], name=f"cyclic:{n}")
 
 
@@ -370,7 +381,8 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     add = (c[:, None] + c) % p
     mul = np.zeros((1, 1), dtype=np.int64)
     for _ in range(k):
-        mul = (mul[:, None, :, None] * p + add[:, None, :]).reshape(len(mul) * p, -1)
+        mul *= p  # in place: only the previous table and the new one coexist
+        mul = (mul[:, None, :, None] + add[:, None, :]).reshape(len(mul) * p, -1)
     gens = [p**j for j in reversed(range(k))]
     return FiniteGroup(mul, generators=gens, name=f"elab:{p}:{k}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import rref
 from .cochain_dga import Cochain, CohomologyRing, cup, differential, get_ring
 from .fp_linalg import in_row_space
 from .group_core import Character, FiniteGroup
@@ -204,52 +205,72 @@ _SCAN_CELLS = 1 << 18
 
 def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
     """Check the vanishing triple Massey product property on every ordered
-    triple of H^1 elements (zero and repeats included).  Batched: one solve
-    gives all c_ij; blocks of representatives -(chi_i u c_jk + c_ij u chi_k)
-    get H^2 coordinates from solves that also check exactly that they are
-    cocycles; containment is tested per (i, k).  Entries equal
-    `triple_massey_set` + `contains_zero`."""
+    triple of H^1 elements (zero and repeats included).  Entries equal
+    `triple_massey_set` + `contains_zero`.
+
+    Batched.  Every cup class chi_i u chi_j is read from the ring's cup
+    table, since chi_i = sum_a x_ia phi_a as a cochain (B^1 = 0); one d1
+    solve gives all c_ij, and its solvability must agree with the table.
+    Blocks of representatives -(chi_i u c_jk + c_ij u chi_k) get H^2
+    coordinates from solves that also check exactly that they are
+    cocycles.  The indeterminacy chi_i u H^1 + chi_k u H^1 (Kraines) depends
+    only on the subspace span(chi_i, chi_k): its rows come from the cup
+    table once per subspace, and every triple over that subspace is tested
+    against them in one batch."""
     ring = get_ring(group, p)
     h2 = ring.basis(2)
-    n = group.order
-    coords = list(itertools.product(range(p), repeat=ring.basis(1).dim))
-    chars = [ring.character_from_coords(np.asarray(c, dtype=np.int64)) for c in coords]
-    m = len(chars)
-    vals = np.stack([chi.values for chi in chars])
+    n, d, dim = group.order, ring.basis(1).dim, h2.dim
+    coords = list(itertools.product(range(p), repeat=d))
+    m = len(coords)
+    x = np.asarray(coords, dtype=np.int64).reshape(m, d)
+    phis = np.array([c.values for c in ring.basis(1).representatives], dtype=np.int64)
+    vals = (x @ phis.reshape(d, n)) % p  # the characters, as `character_from_coords`
 
-    # every chi_i u chi_j: whether its class vanishes, and c_ij solving d c_ij = -it
+    # left[i, b] = coordinates of chi_i u phi_b; chi_i u chi_j = sum_b x_jb left[i, b]
+    left = (x @ ring.cup_table().reshape(d, d * dim)).reshape(m, d, dim) % p
+    cup_zero = ~((left.transpose(0, 2, 1) @ x.T) % p).any(axis=1)
+    # c_ij solving d c_ij = -(chi_i u chi_j), an independent test of vanishing
     cups = (vals[:, None, :, None] * vals[None, :, None, :]).reshape(m * m, n * n) % p
-    cup_zero = ~h2.coordinates_batch(cups.T).any(axis=0)
     c, ok = ring.d1_solver().solve_many(-cups.T)
-    if not np.array_equal(ok, cup_zero):
+    if not np.array_equal(ok, cup_zero.reshape(-1)):
         raise RuntimeError("vanishing cup classes disagree with d1-solvability")
     c = c.T.reshape(m, m, n)
-    cup_zero = cup_zero.reshape(m, m)
 
-    # defined triples, ordered by (i, k) so that each (i, k) is one run
     defined = cup_zero[:, :, None] & cup_zero[None, :, :]
-    ii, kk, jj = np.nonzero(defined.transpose(0, 2, 1))
-    reps = np.zeros((len(ii), h2.dim), dtype=np.int64)
+    ii, jj, kk = np.nonzero(defined)
+    reps = np.zeros((len(ii), dim), dtype=np.int64)
     step = max(1, _SCAN_CELLS // (n * n))
     for s in range(0, len(ii), step):
         i, j, k = ii[s : s + step], jj[s : s + step], kk[s : s + step]
         z = vals[i, :, None] * c[j, k, None, :] + c[i, j, :, None] * vals[k, None, :]
         reps[s : s + step] = h2.coordinates_batch((-z % p).reshape(len(i), -1).T).T
 
+    # key each (i, k) by the sorted indices of the characters a chi_i + b chi_k
+    pairs, pair_of = np.unique(ii * m + kk, return_inverse=True)
+    pi, pk = np.divmod(pairs, m)
+    ab = np.asarray(list(itertools.product(range(p), repeat=2)), dtype=np.int64)
+    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    combos = (ab[:, 0, None, None] * x[pi] + ab[:, 1, None, None] * x[pk]) % p
+    members = np.sort(combos @ place, axis=0).T
+    _, some_pair, span_of = np.unique(members, axis=0, return_index=True, return_inverse=True)
+    span_of = span_of.reshape(-1)[pair_of]
+
     # v is in the span of RREF rows R iff v == v[pivots] @ R
     contains = np.zeros(len(ii), dtype=bool)
-    _, starts = np.unique(ii * m + kk, return_index=True)
-    for s, e in zip(starts, [*starts[1:], len(ii)]):
-        rows = indeterminacy_subspace(ring, chars[ii[s]], chars[kk[s]])
-        pivots = [np.flatnonzero(row)[0] for row in rows]
-        v = reps[s:e]
-        contains[s:e] = ~((v - v[:, pivots] @ rows) % p).any(axis=1)
+    by_span = np.split(np.argsort(span_of, kind="stable"), np.cumsum(np.bincount(span_of))[:-1])
+    for q, sel in zip(some_pair, by_span):
+        red, pivots = rref(np.concatenate([left[pi[q]], left[pk[q]]]), p)
+        rows = red[: len(pivots)]
+        v = reps[sel]
+        contains[sel] = ~((v - v[:, pivots] @ rows) % p).any(axis=1)
 
     cz = np.zeros_like(defined)
     cz[ii, jj, kk] = contains
     return ScanReport(group, p, [
-        ScanEntry((coords[i], coords[j], coords[k]), bool(defined[i, j, k]), bool(cz[i, j, k]))
-        for i, j, k in itertools.product(range(m), repeat=3)
+        ScanEntry(triple, is_defined, has_zero)
+        for triple, is_defined, has_zero in zip(
+            itertools.product(coords, repeat=3), defined.ravel().tolist(), cz.ravel().tolist()
+        )
     ])
 
 

@@ -15,7 +15,10 @@ formula, independently of the library's one batched differential.
 `cohomology_by_full_stream` builds an H^degree basis from all of d^degree,
 with an [A | I] `TransformSolver` for coordinates, and
 `cocycles_by_generator_rows` reduces Z^degree from the rows of d^degree whose
-last argument is e or a generator.
+last argument is e or a generator.  `cup_span_by_cochains` spans chi u H^1
+from the cup cochains themselves, not from the ring's table of basis cups,
+and `res_kernel_by_restrict` builds the restriction matrix one `restrict`
+cochain at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import numpy as np
 
 from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
+from masseybrauer.cochain_dga import CohomologyRing, get_ring, restrict
 from masseybrauer.fp_linalg import null_space_rows, row_space_basis
-from masseybrauer.group_core import Character, FiniteGroup, bfs_tree
+from masseybrauer.group_core import Character, FiniteGroup, Subgroup, bfs_tree
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
 from masseybrauer.unipotent import GroupHom, build_unipotent
 
@@ -713,3 +717,34 @@ def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.nd
         p,
     )
     return null_space_rows(red, pivots, p)
+
+
+def cup_span_by_cochains(ring: CohomologyRing, chars: list[Character]) -> np.ndarray:
+    """Echelon basis rows of sum_chi chi u H^1 in H^2 coordinates, from the
+    cup cochain of every (chi, H^1 basis character) pair and one batched
+    coordinate solve of them, never from a table of basis cups."""
+    if any(c.group is not ring.group or c.p != ring.p for c in chars):
+        raise ValueError("characters on a different group or modulus")
+    h2 = ring.basis(2)
+    phis = [c.values for c in ring.basis(1).representatives]
+    if not chars or not phis:
+        return np.zeros((0, h2.dim), dtype=np.int64)
+    n = ring.group.order
+    left = np.stack([c.values for c in chars])[:, None, :, None]
+    # (chi u phi)(g, h) = chi(g) phi(h), one flattened table per pair
+    flats = (left * np.stack(phis)[None, :, None, :]).reshape(-1, n * n) % ring.p
+    return row_space_basis(h2.coordinates_batch(flats.T).T, ring.p)
+
+
+def res_kernel_by_restrict(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
+    """Basis rows of Ker(res: H^2(G) -> H^2(K)), the matrix of res built
+    from one `restrict` cochain per H^2(G) representative."""
+    from masseybrauer.cochain_dga import CohomologyRing, get_ring, restrict
+
+    h2 = get_ring(group, p).basis(2)
+    if h2.dim == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    sub_h2 = get_ring(sub.as_group()[0], p).basis(2)
+    res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
+    coords = sub_h2.coordinates_batch(res)
+    return row_space_basis(null_space_rows(*rref(coords, p), p), p)
