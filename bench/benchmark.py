@@ -1,9 +1,11 @@
 """Per-layer timings: the F_p row reduction kernel by matrix shape,
-`realize_as_cup` by the number of odd primes of a, `find_prescribed_hom`
+`realize_as_cup` by the number of odd primes of a, `decompose` with its
+certificate check by the number of odd primes of a_1, `find_prescribed_hom`
 by source group and target, cold H^1 + H^2 bases by group, and warm
 vanishing scans by group.
 
-Run as:  python3 bench/benchmark.py [rref] [realize] [u-hom] [h2] [scan]   (default: all)
+Run as:  python3 bench/benchmark.py [rref] [realize] [decompose] [u-hom] [h2] [scan]
+(default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
 (the shapes H^2 reduces, here built whole) and random dense matrices, full
@@ -15,6 +17,18 @@ k = 6, 9, 12, 14 and two targets each: the first two primes of a, which
 sign * d realizes for a divisor d of the pool, and a pair of places that
 no such sign * d realizes, so x needs an auxiliary prime w.  Each line
 gives k, the target, x and the time.
+
+The decompose cases are classes c = sum_{i<=r} (a_i, x_i), r = 1, 2, 3,
+built as the `q-decompose` benchmark builds its catalogue (signed
+squarefree entries, even half of the time, the other entries with 1 or 2
+odd primes below 100), 30 for each number k = 1..8 of odd primes of a_1
+(seed 2014).  Each call is `decompose(c, a_list)` followed by
+`verify_certificate`; every certificate must verify, or the section exits
+with an error.  One untimed pass runs first, then each call is timed as
+the best of three.  Each line gives k, the number of classes, and the
+median and the largest call time in milliseconds.  A
+last line times `factorize` on 1000003 * 1000033, which trial-divides to
+its bound of 10^6 before raising `FactorBoundExceeded` (best of three).
 
 The u-hom cases call `find_prescribed_hom` on every tuple of nonzero
 characters of the `massey-scan` groups (n = 2, 3, full and bar), on a
@@ -47,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import subprocess
 import sys
 import time
@@ -54,11 +69,11 @@ import time
 import numpy as np
 
 from masseybrauer._kernels import rref
-from masseybrauer.brauer_q import HALF, Place
+from masseybrauer.brauer_q import HALF, BrauerClass2, FactorBoundExceeded, Place, factorize
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix, get_ring
 from masseybrauer.fp_linalg import is_prime
-from masseybrauer.lgp_decompose import realize_as_cup
+from masseybrauer.lgp_decompose import decompose, realize_as_cup, verify_certificate
 from masseybrauer.massey import scan_vanishing
 from masseybrauer.unipotent import find_prescribed_hom
 
@@ -119,6 +134,46 @@ def bench_realize() -> None:
         t = _time(lambda: realize_as_cup(target, a))
         places = ",".join(str(v) for v in sorted(target))
         print(f"{k:3d} {places:>10s} {x:14d} {t:9.4f}")
+
+
+def decompose_cases(per_k: int = 30, seed: int = 2014):
+    rng = random.Random(seed)
+    odd = [q for q in range(3, 100) if is_prime(q)]
+
+    def entry(k):
+        return math.prod(rng.sample(odd, k)) * rng.choice((1, 2)) * rng.choice((1, -1))
+
+    for k in range(1, 9):
+        cases = []
+        for j in range(per_k):
+            r = 1 + j % 3
+            a = [entry(k)] + [entry(rng.randint(1, 2)) for _ in range(r - 1)]
+            x = [entry(rng.randint(1, 2)) for _ in range(r)]
+            cases.append((list(zip(a, x)), a))
+        yield k, cases
+
+
+def bench_decompose() -> None:
+    def call(symbols, a_list):
+        ok, reason = verify_certificate(decompose(BrauerClass2(symbols), a_list))
+        if not ok:
+            sys.exit(f"decompose {symbols} over {a_list}: certificate rejected ({reason})")
+
+    print(f"{'k':>3s} {'classes':>8s} {'median_ms':>10s} {'max_ms':>9s}")
+    for k, cases in decompose_cases():
+        for case in cases:
+            call(*case)
+        ms = 1e3 * np.asarray([_time(lambda: call(*case)) for case in cases])
+        print(f"{k:3d} {len(ms):8d} {np.median(ms):10.3f} {ms.max():9.3f}")
+
+    def bound_path():
+        try:
+            factorize(1000003 * 1000033)
+        except FactorBoundExceeded:
+            return
+        sys.exit("factorize(1000003 * 1000033) did not exceed its bound")
+
+    print(f"factorize bound path (1000003 * 1000033): {_time(bound_path):.4f} s")
 
 
 # (source group, p, n values, bar values, sample size or None for all)
@@ -217,8 +272,8 @@ def bench_scan() -> None:
 
 def main(sections: list[str]) -> None:
     benches = {
-        "rref": bench_rref, "realize": bench_realize, "u-hom": bench_u_hom, "h2": bench_h2,
-        "scan": bench_scan,
+        "rref": bench_rref, "realize": bench_realize, "decompose": bench_decompose,
+        "u-hom": bench_u_hom, "h2": bench_h2, "scan": bench_scan,
     }
     for name in sections or list(benches):
         benches[name]()

@@ -8,6 +8,7 @@ which determines it globally by Albert-Brauer-Hasse-Noether injectivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -86,12 +87,25 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
         raise ValueError("zero has no factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    d = 2
+    if n % 2 == 0 and bound >= 2:
+        v = (n & -n).bit_length() - 1  # the power of 2 dividing n
+        out[2] = v
+        n >>= v
+    d = 3
     while d * d <= n and d <= bound:
+        if n % d:
+            # step over the odd numbers to the next divisor in one loop
+            for d in range(d + 2, min(bound, math.isqrt(n)) + 1, 2):
+                if n % d == 0:
+                    break
+            else:
+                break
+        e = 0
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
+            e += 1
+        out[d] = e
+        d += 2
     if n > 1:
         if n > bound * bound:
             raise FactorBoundExceeded(
@@ -116,6 +130,49 @@ def _legendre(u: int, q: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _ramified(
+    a: int,
+    fa: dict[int, int],
+    b: int,
+    fb: dict[int, int],
+    primes: Iterable[int] | None = None,
+) -> set[int]:
+    """The places where (a, b) ramifies, as ints: 0 for the real place, else
+    the prime.  fa and fb map primes to the valuations of a and b (a prime
+    missing from one is a unit there).  The primes evaluated are `primes`, by
+    default 2 and the keys of fa and fb: with fa and fb the factorizations of
+    a and b these are the only finite candidates, since at any other prime
+    both entries are units.  The classical residue formulas."""
+    out = {0} if a < 0 and b < 0 else set()
+    for q in {2, *fa, *fb} if primes is None else primes:
+        alpha = fa.get(q, 0)
+        beta = fb.get(q, 0)
+        if q == 2:
+            u, w = a >> alpha, b >> beta  # exact: 2^alpha divides a
+            eps_u = ((u - 1) // 2) % 2
+            eps_w = ((w - 1) // 2) % 2
+            om_u = ((u * u - 1) // 8) % 2
+            om_w = ((w * w - 1) // 8) % 2
+            e = eps_u * eps_w + alpha * om_w + beta * om_u
+        else:
+            # alpha beta (q - 1)/2, plus beta times the Legendre bit of the
+            # unit of a, plus alpha times that of the unit of b
+            half = (q - 1) // 2
+            e = alpha * beta * half
+            if beta % 2:
+                e += pow(a // q**alpha % q, half, q) != 1
+            if alpha % 2:
+                e += pow(b // q**beta % q, half, q) != 1
+        if e % 2:
+            out.add(q)
+    return out
+
+
+def _place(q: int) -> Place:
+    """The place an int of `_ramified` stands for."""
+    return REAL if q == 0 else _prime_place(q)
+
+
 def hilbert_symbol(a: int, b: int, place: Place) -> int:
     """The Hilbert symbol (a, b)_v as +-1.
 
@@ -124,28 +181,11 @@ def hilbert_symbol(a: int, b: int, place: Place) -> int:
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    if not place.finite:
-        return -1 if (a < 0 and b < 0) else 1
+    if not place.finite:  # _ramified always evaluates the real place
+        return -1 if 0 in _ramified(a, {}, b, {}, ()) else 1
     q = place.q
-    if q == 2:
-        alpha, u = _val_unit(a, 2)
-        beta, w = _val_unit(b, 2)
-        eps_u = ((u - 1) // 2) % 2
-        eps_w = ((w - 1) // 2) % 2
-        om_u = ((u * u - 1) // 8) % 2
-        om_w = ((w * w - 1) // 8) % 2
-        e = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if e % 2 else 1
-    alpha, u = _val_unit(a, q)
-    beta, w = _val_unit(b, q)
-    s = 1
-    if (alpha * beta) % 2 and (q - 1) // 2 % 2:
-        s = -s
-    if beta % 2:
-        s *= _legendre(u, q)
-    if alpha % 2:
-        s *= _legendre(w, q)
-    return s
+    fa, fb = {q: _val_unit(a, q)[0]}, {q: _val_unit(b, q)[0]}
+    return -1 if q in _ramified(a, fa, b, fb, (q,)) else 1
 
 
 def is_local_square(a: int, place: Place) -> bool:
@@ -164,11 +204,8 @@ def is_local_square(a: int, place: Place) -> bool:
 
 
 def ramified_places(a: int, b: int) -> set[Place]:
-    """The places v with (a, b)_v = -1.  Only infinity, 2 and the primes of
-    a and b are candidates: at any other prime both entries are units."""
-    primes = {2, *factorize(a), *factorize(b)}
-    places = [REAL] + [_prime_place(q) for q in primes]
-    return {v for v in places if hilbert_symbol(a, b, v) == -1}
+    """The places v with (a, b)_v = -1."""
+    return {_place(q) for q in _ramified(a, factorize(a), b, factorize(b))}
 
 
 @dataclass(frozen=True)
@@ -206,10 +243,14 @@ class BrauerClass2:
         empty for the trivial class.  A place carries 1/2 iff an odd number
         of the symbols ramify there."""
         if self._invariants is None:
-            places: set[Place] = set()
+            factors: dict[int, dict[int, int]] = {}
+            places: set[int] = set()
             for s in self.symbols:
-                places ^= ramified_places(s.a, s.b)
-            self._invariants = dict.fromkeys(sorted(places), HALF)
+                for n in (s.a, s.b):
+                    if n not in factors:
+                        factors[n] = factorize(n)
+                places ^= _ramified(s.a, factors[s.a], s.b, factors[s.b])
+            self._invariants = {_place(q): HALF for q in sorted(places)}
         return dict(self._invariants)
 
     def support(self) -> list[Place]:

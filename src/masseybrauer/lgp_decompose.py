@@ -18,16 +18,15 @@ from typing import Iterable
 
 from .brauer_q import (
     HALF,
-    REAL,
     BrauerClass2,
     Place,
+    _place,
     _prime_place,
+    _ramified,
     classes_equal,
     factorize,
-    hilbert_symbol,
     is_local_square,
     is_prime,
-    ramified_places,
     splits_in_multiquadratic,
 )
 
@@ -46,6 +45,11 @@ def _is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+def _lead_index(a_list: list[int]) -> int | None:
+    """The entry `decompose` leads with: the first that is not a global square."""
+    return next((i for i, a in enumerate(a_list) if not _is_perfect_square(a)), None)
+
+
 def _odd_primes(limit: int):
     return (n for n in range(3, limit + 1, 2) if is_prime(n))
 
@@ -61,11 +65,11 @@ def find_v0(
     a1 = a_list[0]
     if _is_perfect_square(a1):
         raise ValueError(f"{a1} is a global square")
-    s_set = set(s_places)
+    s_set = {v.q for v in s_places}  # places as ints: 0 is the real place
     for q in _odd_primes(bound):
-        v = _prime_place(q)
-        if v in s_set or any(a % q == 0 for a in a_list):
+        if q in s_set or any(a % q == 0 for a in a_list):
             continue
+        v = _prime_place(q)
         if is_local_square(a1, v):
             continue
         adjusted = [a1]
@@ -111,7 +115,8 @@ def realize_as_cup(
     mod w, and at every other place they vanish.  One elimination of the
     |pool| + 1 columns serves every w; each w then costs one solve, and the
     least solution under (d, sign) is picked from the coset c0 + kernel.  The
-    chosen x is checked once by recomputing every Hilbert symbol.
+    chosen x is checked once by re-evaluating (a, x) at every place where it
+    can ramify, from the factorization of x that the solve produced.
     """
     target = {v: f for v, f in target.items() if f}
     if any(f != HALF for f in target.values()):
@@ -126,17 +131,15 @@ def realize_as_cup(
     if not target:
         return 1
 
-    relevant = {2}
-    relevant.update(factorize(a))
-    relevant.update(v.q for v in target if v.finite)
-    pool = sorted(relevant)
-    places = [REAL] + [_prime_place(q) for q in pool]
+    fa = factorize(a)
+    wanted = {v.q for v in target}  # places as ints: 0 is the real place
+    pool = sorted({2, *fa, *wanted} - {0})
+    index = {q: i for i, q in enumerate([0] + pool)}
 
-    def mask(b: int) -> int:
-        # bit i set iff (a, b) ramifies at places[i]
-        return sum(
-            1 << i for i, v in enumerate(places) if hilbert_symbol(a, b, v) == -1
-        )
+    def mask(b: int, fb: dict[int, int]) -> int:
+        # bit index[q] set iff (a, b) ramifies at the place q of P; fb is the
+        # factorization of b
+        return sum(1 << index[q] for q in _ramified(a, fa, b, fb, pool))
 
     # column 0 is the sign -1, column j >= 1 the pool prime pool[j - 1]; a
     # combination c is a bitmask over columns.  basis holds (pivot, value,
@@ -151,8 +154,8 @@ def realize_as_cup(
                 comb ^= bcomb
         return value, comb
 
-    for j, b in enumerate([-1] + pool):
-        value, comb = reduce(mask(b), 1 << j)
+    for j, (b, fb) in enumerate([(-1, {})] + [(q, {q: 1}) for q in pool]):
+        value, comb = reduce(mask(b, fb), 1 << j)
         if value:
             basis.append((value.bit_length() - 1, value, comb))
             basis.sort(reverse=True)
@@ -163,16 +166,17 @@ def realize_as_cup(
         d = math.prod(q for j, q in enumerate(pool, 1) if comb >> j & 1)
         return d, comb & 1
 
-    t = sum(1 << places.index(v) for v in target)
+    t = sum(1 << index[q] for q in wanted)
 
     def auxiliary():
         yield 1
         for w in _odd_primes(aux_prime_bound):
-            if w not in relevant and is_local_square(a, _prime_place(w)):
+            if w not in index and is_local_square(a, _prime_place(w)):
                 yield w
 
     for w in auxiliary():
-        rest, c0 = reduce(t ^ mask(w), 0)
+        fw = {w: 1} if w > 1 else {}
+        rest, c0 = reduce(t ^ mask(w, fw), 0)
         if rest:
             continue
         coset = [c0]
@@ -180,7 +184,10 @@ def realize_as_cup(
             coset += [c ^ k for c in coset]
         d, negative = key(min(coset, key=key))
         x = (-1 if negative else 1) * d * w
-        if BrauerClass2([(a, x)]).local_invariants() != target:
+        # every key of fx is prime, so fx is the factorization of x once its
+        # product is |x|
+        fx = {q: 1 for q in pool if d % q == 0} | fw
+        if math.prod(fx) != abs(x) or _ramified(a, fa, x, fx) != wanted:
             raise RuntimeError(f"internal error: ({a}, {x}) misses its target")
         return x
     raise SearchBoundExceeded(
@@ -233,7 +240,7 @@ def decompose(
         )
 
     # reorder so the leading entry is not a global square
-    lead = next((i for i, a in enumerate(a_list) if not _is_perfect_square(a)), None)
+    lead = _lead_index(a_list)
     if lead is None:
         raise NonSplittingError(
             "all entries are global squares but the class is nontrivial"
@@ -256,14 +263,17 @@ def decompose(
     # symbol (a_1 a_i, x) re-expands as (a_1, x) + (a_i, x), and the places
     # where the (a_1, x) leg ramifies are folded into the leading target
     xs = [1] * r
-    lead_target = set(targets[0])
+    lead_target = {v.q for v in targets[0]}  # places as ints: 0 is the real place
+    f_lead = None
     for i in range(1, r):
         if targets[i]:
             xs[i] = realize_as_cup(targets[i], adjusted[i], aux_prime_bound)
             if adjusted[i] != ordered[i]:
-                lead_target ^= ramified_places(ordered[0], xs[i])
+                if f_lead is None:
+                    f_lead = factorize(ordered[0])
+                lead_target ^= _ramified(ordered[0], f_lead, xs[i], factorize(xs[i]))
     if lead_target:
-        target = dict.fromkeys(sorted(lead_target), HALF)
+        target = {_place(q): HALF for q in sorted(lead_target)}
         xs[0] = realize_as_cup(target, ordered[0], aux_prime_bound)
 
     # undo the reordering: position back[i] of the ordered lists is entry i
@@ -286,7 +296,24 @@ def decompose_biquadratic(
 
 
 def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
-    """Recompute everything from scratch; returns (ok, reason)."""
+    """Recompute everything from scratch; returns (ok, reason).
+
+    Besides the final equality of classes, every stage record is checked
+    against the rules `decompose` follows: one record per entry, `order` (when
+    recorded) a permutation, a'_lead = a_lead and each a'_i equal to a_i or
+    a_lead a_i, and v0 an odd prime outside the support, coprime to every a_i,
+    at which every a'_i is a local nonsquare.
+    """
+    r = len(cert.a_list)
+    records = {"x_list": cert.x_list, "partition": cert.partition,
+               "t_parities": cert.t_parities}
+    if cert.adjusted_a_list is not None:
+        records["adjusted_a_list"] = cert.adjusted_a_list
+    for name, values in records.items():
+        if len(values) != r:
+            return False, f"{name} has {len(values)} entries, a_list {r}"
+    if cert.order and sorted(cert.order) != list(range(r)):
+        return False, "order is not a permutation of the entries"
     c = cert.input_class()
     support = set(c.support())
     claimed = [v for part in cert.partition for v in part]
@@ -294,7 +321,31 @@ def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
         return False, "partition pieces overlap"
     if set(claimed) != support:
         return False, "partition does not cover the support"
-    ref = cert.adjusted_a_list if cert.adjusted_a_list is not None else cert.a_list
+    if support and (cert.v0 is None or cert.adjusted_a_list is None):
+        return False, "v0 or adjusted_a_list missing for a nontrivial class"
+    ref = cert.a_list
+    if cert.adjusted_a_list is not None:
+        ref = cert.adjusted_a_list
+        lead = cert.order[0] if cert.order else _lead_index(cert.a_list)
+        if lead is None:
+            return False, "every entry is a global square: no a_lead"
+        a_lead = cert.a_list[lead]
+        if ref[lead] != a_lead:
+            return False, f"adjusted leading entry {ref[lead]} is not a_lead = {a_lead}"
+        for a, adjusted in zip(cert.a_list, ref):
+            if adjusted not in (a, a_lead * a):
+                return False, f"adjusted entry {adjusted} is neither {a} nor a_lead * {a}"
+    if cert.v0 is not None:
+        v0 = cert.v0
+        if not v0.finite or v0.q == 2:
+            return False, f"v0 = {v0} is not an odd prime"
+        if v0 in support:
+            return False, f"v0 = {v0} lies in the support"
+        if any(a % v0.q == 0 for a in cert.a_list):
+            return False, f"v0 = {v0} divides an entry"
+        for a in ref:
+            if is_local_square(a, v0):
+                return False, f"{a} is a local square at v0 = {v0}"
     for a, part, t in zip(ref, cert.partition, cert.t_parities):
         for v in part:
             if is_local_square(a, v):
@@ -303,8 +354,6 @@ def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
             return False, "recorded parity disagrees with the partition"
         if (len(part) + t) % 2:
             return False, "per-entry target violates reciprocity"
-    if len(cert.x_list) != len(cert.a_list):
-        return False, "entry/witness length mismatch"
     if not classes_equal(c, cert.output_class()):
         return False, "local invariants of the output differ from the input"
     return True, "ok"

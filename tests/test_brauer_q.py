@@ -56,6 +56,43 @@ class TestFactorize:
         with pytest.raises(FactorBoundExceeded):
             factorize((10**9 + 7) * (10**9 + 9), bound=10**3)
 
+    def test_bound_edges(self):
+        # the factor 2 counts as trial division: below bound 2 nothing is divided
+        assert factorize(2**40 * 3**5) == {2: 40, 3: 5}
+        assert factorize(12, bound=2) == {2: 2, 3: 1}
+        with pytest.raises(FactorBoundExceeded):
+            factorize(4, bound=1)
+        assert factorize(1000003 * 1000033, bound=1000003) == {1000003: 1, 1000033: 1}
+        with pytest.raises(FactorBoundExceeded):
+            factorize(1000003 * 1000033, bound=1000002)
+        # key order: increasing primes, the unfactored prime last
+        assert list(factorize(2 * 9 * 25 * 1000003)) == [2, 3, 5, 1000003]
+
+    def test_matches_plain_trial_division(self):
+        def reference(n, bound):
+            n, out, d = abs(n), {}, 2
+            while d * d <= n and d <= bound:
+                while n % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    n //= d
+                d += 1
+            if n > 1:
+                if n > bound * bound:
+                    return None
+                out[n] = 1
+            return out
+
+        rng = random.Random(6)
+        numbers = list(range(1, 400)) + [rng.randint(1, 10**9) for _ in range(300)]
+        for n in numbers:
+            for bound in (1, 2, 3, 10, 10**6):
+                try:
+                    got = factorize(n, bound)
+                except FactorBoundExceeded:
+                    got = None
+                want = reference(n, bound)
+                assert got == want and list(got or ()) == list(want or ()), (n, bound)
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
@@ -173,6 +210,64 @@ class TestRamifiedPlaces:
                     want.append(v)
             assert c.local_invariants() == dict.fromkeys(want, HALF), syms
             assert list(c.local_invariants()) == want  # in place order
+
+
+class TestRamifiedFromValuations:
+    """`brauer_q._ramified` reads the places from known factorizations; the
+    oracle solves z^2 = a x^2 + b y^2 over each completion."""
+
+    # valuation >= 2 at 2, 3 and 5, and entries that share primes
+    ENTRIES = [s * n for n in (16 * 27, 8 * 9 * 5, 4, 9, 12, 18, 25 * 3, 50, 7, 21)
+               for s in (1, -1)]
+
+    @staticmethod
+    def _oracle(a, b):
+        places = BrauerClass2([(a, b)]).candidate_support()
+        return {v.q for v in places if hilbert_oracle(a, b, v) == -1}
+
+    def test_high_valuations_against_oracle(self):
+        for a in self.ENTRIES:
+            for b in self.ENTRIES:
+                got = brauer_q._ramified(a, factorize(a), b, factorize(b))
+                assert got == self._oracle(a, b), (a, b)
+
+    def test_a_a_and_a_minus_a(self):
+        for a in self.ENTRIES + [n for n in range(-22, 23) if n]:
+            fa = factorize(a)
+            assert brauer_q._ramified(a, fa, a, fa) == self._oracle(a, a), a
+            # (a, -a) splits everywhere
+            assert brauer_q._ramified(a, fa, -a, fa) == set() == self._oracle(a, -a), a
+
+    def test_repeated_entries_across_symbols(self):
+        # classes whose symbols repeat entries, so each entry is factored once
+        # and reused
+        rng = random.Random(14)
+        for _ in range(60):
+            pool = rng.sample(self.ENTRIES, 3)
+            syms = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(2, 4))]
+            c = BrauerClass2(syms)
+            want = []
+            for v in c.candidate_support():
+                sign = 1
+                for a, b in syms:
+                    sign *= hilbert_oracle(a, b, v)
+                if sign == -1:
+                    want.append(v)
+            assert c.local_invariants() == dict.fromkeys(want, HALF), syms
+
+    def test_hilbert_symbol_agrees_with_ramified(self):
+        for a in self.ENTRIES:
+            for b in (-1, 2, -3, 5, 45, -128):
+                ramified = brauer_q._ramified(a, factorize(a), b, factorize(b))
+                for v in BrauerClass2([(a, b)]).candidate_support():
+                    assert (hilbert_symbol(a, b, v) == -1) == (v.q in ramified), (a, b, v)
+
+    def test_factor_bound_propagates(self):
+        huge = 1000003 * 1000033
+        with pytest.raises(FactorBoundExceeded):
+            BrauerClass2([(2, 3), (huge, 5)]).local_invariants()
+        with pytest.raises(FactorBoundExceeded):
+            ramified_places(huge, -1)
 
 
 class TestNumpyFree:

@@ -321,11 +321,36 @@ class TestMalformedJson:
             code, data = run_json(capsys, ["q", "verify", "--cert", json.dumps(cert)])
             assert code == 1 and list(data) == ["error"]
 
-    @pytest.mark.parametrize("v0", ["5", "inf"])
-    def test_place_as_written_verifies(self, capsys, v0):
-        cert = json.dumps(dict(README_CERT, v0=v0))
+    # each place written as the CLI writes it, in a certificate where it is a
+    # valid entry: v0 is an odd prime, so "inf" is read from a partition
+    AS_WRITTEN = {
+        "5": dict(README_CERT, v0="5"),
+        "inf": {"class": [[-1, -1]], "a_list": [-1], "x_list": [-1], "v0": "3",
+                "adjusted_a_list": [-1], "partition": [["inf", "2"]], "t_parities": [0]},
+    }
+
+    @pytest.mark.parametrize("place", ["5", "inf"])
+    def test_place_as_written_verifies(self, capsys, place):
+        cert = json.dumps(self.AS_WRITTEN[place])
         code, data = run_json(capsys, ["q", "verify", "--cert", cert])
         assert code == 0 and data == {"valid": True, "reason": "ok"}
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"adjusted_a_list": [2], "partition": [["2", "3"]]},
+             "partition has 1 entries, a_list 2"),
+            ({"t_parities": [0, 0, 1]}, "t_parities has 3 entries, a_list 2"),
+            ({"adjusted_a_list": [5, 3]}, "adjusted leading entry 5 is not a_lead = 2"),
+            ({"v0": "3"}, "v0 = 3 lies in the support"),
+            ({"v0": "inf"}, "v0 = inf is not an odd prime"),
+        ],
+        ids=["short-lists", "long-parities", "adjusted-lead", "v0-in-support", "v0-real"],
+    )
+    def test_forged_stage_record_rejected(self, capsys, changes, reason):
+        cert = json.dumps(dict(README_CERT, **changes))
+        code, data = run_json(capsys, ["q", "verify", "--cert", cert])
+        assert code == 0 and data == {"valid": False, "reason": reason}
 
     def test_integer_strings_only_as_written(self, capsys):
         big = 5 * 2**54  # written as a decimal string

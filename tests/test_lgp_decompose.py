@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
@@ -187,6 +189,9 @@ class TestRealizeMatchesScan:
             realize_as_cup(target, a)
         with pytest.raises(FactorBoundExceeded):
             decompose(BrauerClass2([(-1, -1)]), [a])
+        # an unfactorable entry of the class itself
+        with pytest.raises(FactorBoundExceeded):
+            decompose(BrauerClass2([(2, a)]), [2, 3])
 
 
 class TestDecompose:
@@ -266,3 +271,124 @@ class TestVerifyCertificate:
         cert = decompose(BrauerClass2([(1, 7)]), [5])
         assert cert.x_list == [1]
         assert verify_certificate(cert)[0]
+
+
+def _golden_cert():
+    # the certificate README.md shows for (6, 5) over Q(sqrt 2, sqrt 3)
+    cert = decompose(BrauerClass2([(6, 5)]), [2, 3])
+    assert (cert.x_list, str(cert.v0), cert.adjusted_a_list) == ([3, 1], "5", [2, 3])
+    return cert
+
+
+class TestForgedStageRecords:
+    """Every stage record is checked, not only the final class equality: each
+    forgery below keeps the output class right and is still rejected."""
+
+    @pytest.mark.parametrize("order", [[], [0, 1]])
+    def test_honest_certificate_ok(self, order):
+        cert = dataclasses.replace(_golden_cert(), order=order)
+        assert verify_certificate(cert) == (True, "ok")
+
+    def test_short_adjusted_list_and_partition(self):
+        # zip would stop at the shorter list and skip entry 2
+        bad = dataclasses.replace(_golden_cert(), adjusted_a_list=[2],
+                                  partition=[[Place.prime(2), Place.prime(3)]])
+        assert verify_certificate(bad) == (False, "partition has 1 entries, a_list 2")
+        bad = dataclasses.replace(_golden_cert(), adjusted_a_list=[2])
+        assert verify_certificate(bad) == (False, "adjusted_a_list has 1 entries, a_list 2")
+
+    def test_extra_parity(self):
+        bad = dataclasses.replace(_golden_cert(), t_parities=[0, 0, 1])
+        assert verify_certificate(bad) == (False, "t_parities has 3 entries, a_list 2")
+
+    def test_adjusted_entry_not_from_a_list(self):
+        bad = dataclasses.replace(_golden_cert(), adjusted_a_list=[5, 3])
+        assert verify_certificate(bad) == (
+            False, "adjusted leading entry 5 is not a_lead = 2")
+        bad = dataclasses.replace(_golden_cert(), adjusted_a_list=[2, 15])
+        assert verify_certificate(bad) == (
+            False, "adjusted entry 15 is neither 3 nor a_lead * 3")
+
+    def test_v0_inside_support(self):
+        bad = dataclasses.replace(_golden_cert(), v0=Place.prime(3))
+        assert verify_certificate(bad) == (False, "v0 = 3 lies in the support")
+
+    def test_v0_rules(self):
+        cert = _golden_cert()
+        for v0, reason in [
+            (REAL, "v0 = inf is not an odd prime"),
+            (Place.prime(7), "2 is a local square at v0 = 7"),  # 2 = 3^2 mod 7
+        ]:
+            assert verify_certificate(dataclasses.replace(cert, v0=v0)) == (False, reason)
+        # v0 must be coprime to every entry, also one whose target is empty
+        cert = decompose(BrauerClass2([(2, 3)]), [2, 5])
+        assert verify_certificate(cert) == (True, "ok") and cert.v0 == Place.prime(11)
+        bad = dataclasses.replace(cert, v0=Place.prime(5))
+        assert verify_certificate(bad) == (False, "v0 = 5 divides an entry")
+
+    def test_missing_stage_records(self):
+        for changes in ({"v0": None}, {"adjusted_a_list": None}):
+            bad = dataclasses.replace(_golden_cert(), **changes)
+            assert verify_certificate(bad) == (
+                False, "v0 or adjusted_a_list missing for a nontrivial class")
+
+    def test_order_not_a_permutation(self):
+        for order in ([0, 0], [0], [1, 2]):
+            bad = dataclasses.replace(_golden_cert(), order=order)
+            assert verify_certificate(bad) == (
+                False, "order is not a permutation of the entries")
+
+    def test_reordered_lead(self):
+        # a_lead is a_list[order[0]] = 2 when recorded; a'_1 = 8 is a_lead * 4
+        cert = decompose(BrauerClass2([(2, 3)]), [4, 2])
+        assert cert.order == [1, 0] and cert.adjusted_a_list == [8, 2]
+        assert verify_certificate(cert) == (True, "ok")
+        bad = dataclasses.replace(cert, adjusted_a_list=[12, 2])
+        assert verify_certificate(bad) == (False, "adjusted entry 12 is neither 4 nor a_lead * 4")
+        bad = dataclasses.replace(cert, order=[0, 1])
+        assert verify_certificate(bad) == (False, "adjusted leading entry 8 is not a_lead = 4")
+
+
+ODD_PRIMES_BELOW_100 = [q for q in range(3, 100) if is_prime(q)]
+# share of classes whose a_1 has K odd primes, K = 1..8
+PRIME_COUNT_MIX = [36, 34, 30, 26, 22, 20, 16, 16]
+
+
+def _q_catalogue(seed):
+    """Classes sum (a_i, x_i), r = 1, 2, 3, built as the q-decompose benchmark
+    builds its catalogue: signed squarefree entries, even half of the time,
+    a_1 with K odd primes below 100 and the other entries with 1 or 2."""
+    rng = random.Random(seed)
+
+    def entry(k):
+        n = 1
+        for q in rng.sample(ODD_PRIMES_BELOW_100, k):
+            n *= q
+        return n * rng.choice((1, 2)) * rng.choice((1, -1))
+
+    out = []
+    for k, count in enumerate(PRIME_COUNT_MIX, start=1):
+        for j in range(count):
+            r = 1 + j % 3
+            a = [entry(k)] + [entry(rng.randint(1, 2)) for _ in range(r - 1)]
+            x = [entry(rng.randint(1, 2)) for _ in range(r)]
+            out.append((list(zip(a, x)), a))
+    return out
+
+
+class TestCatalogueDigest:
+    def test_full_certificates_pinned(self):
+        # every field of 200 certificates, x_list included, hashed; the
+        # digest was taken from the per-symbol Hilbert-symbol implementation
+        # this one replaced
+        records = []
+        for symbols, a_list in _q_catalogue(2014):
+            cert = decompose(BrauerClass2(symbols), a_list)
+            assert verify_certificate(cert) == (True, "ok")
+            records.append([
+                cert.symbols, cert.a_list, cert.x_list, str(cert.v0), cert.adjusted_a_list,
+                [[str(v) for v in part] for part in cert.partition], cert.t_parities,
+                cert.order,
+            ])
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "df33f971443c9e05f2a9b7aa2803c66283de6217837928d73f9bc893698b4614"
