@@ -9,33 +9,62 @@ which determines it globally by Albert-Brauer-Hasse-Noether injectivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable
 
 HALF = Fraction(1, 2)
 
 DEFAULT_FACTOR_BOUND = 10**6
+# the largest auxiliary prime `lgp_decompose` tries (the CLI's default)
+DEFAULT_AUX_PRIME_BOUND = 10**6
 
 
 class FactorBoundExceeded(ValueError):
     """Trial division hit the configured bound without finishing."""
 
 
-@dataclass(frozen=True, order=True)
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+@total_ordering
 class Place:
-    """A place of Q: the real place or a finite prime."""
+    """A place of Q: the real place or a finite prime.  Immutable, and
+    ordered real place first, then primes in order.  (A plain class: the
+    `dataclasses` module imports `inspect`, which the CLI's start cannot
+    afford.)"""
 
-    # sort key: real place first, then primes in order
-    finite: bool
-    q: int  # 0 for the real place
+    __slots__ = ("finite", "q")  # q is 0 for the real place
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.finite:
-            if not is_prime(self.q):
-                raise ValueError(f"{self.q} is not prime")
-        elif self.q != 0:
+    def __init__(self, finite: bool, q: int):
+        if finite:
+            if not is_prime(q):
+                raise ValueError(f"{q} is not prime")
+        elif q != 0:
             raise ValueError("the real place carries no prime")
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is not Place:
+            return NotImplemented
+        return self.finite == other.finite and self.q == other.q
+
+    def __lt__(self, other):
+        if other.__class__ is not Place:
+            return NotImplemented
+        return (self.finite, self.q) < (other.finite, other.q)
+
+    def __hash__(self):
+        return hash((self.finite, self.q))
+
+    def __reduce__(self):
+        return Place, (self.finite, self.q)
+
+    def __repr__(self):
+        return f"Place(finite={self.finite!r}, q={self.q!r})"
 
     @classmethod
     def real(cls) -> "Place":
@@ -208,14 +237,31 @@ def ramified_places(a: int, b: int) -> set[Place]:
     return {_place(q) for q in _ramified(a, factorize(a), b, factorize(b))}
 
 
-@dataclass(frozen=True)
 class QuaternionSymbol:
-    a: int
-    b: int
+    """The symbol (a, b), a and b nonzero; immutable, equal by its entries."""
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0:
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, a: int, b: int):
+        if a == 0 or b == 0:
             raise ValueError("symbol entries must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuaternionSymbol:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __reduce__(self):
+        return QuaternionSymbol, (self.a, self.b)
+
+    def __repr__(self):
+        return f"QuaternionSymbol(a={self.a!r}, b={self.b!r})"
 
 
 class BrauerClass2:

@@ -15,18 +15,14 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# only the numpy-free Brauer side is imported here; the group handlers import
-# the group engine (and with it numpy) when they run
-from . import brauer_q, lgp_decompose
+# only brauer_q is imported here; the handlers import the rest (the group
+# engine with numpy, and lgp_decompose with dataclasses) when they run
+from . import brauer_q
 from .brauer_q import BrauerClass2, Place
-from .lgp_decompose import (
-    DecompositionCertificate,
-    decompose,
-    verify_certificate,
-)
 
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
+    from .lgp_decompose import DecompositionCertificate
 
 _SAFE = 1 << 53
 
@@ -153,6 +149,8 @@ def _symbols(x) -> list[tuple[int, int]]:
 
 
 def _cert_from_json(data) -> DecompositionCertificate:
+    from .lgp_decompose import DecompositionCertificate
+
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     return DecompositionCertificate(
@@ -287,6 +285,8 @@ def _cmd_q_split(args) -> dict:
 
 
 def _cmd_q_decompose(args) -> dict:
+    from .lgp_decompose import decompose
+
     c = _load_class(args.cls)
     a_list = _ints(json.loads(args.a), "--a")
     cert = decompose(c, a_list, aux_prime_bound=args.aux_prime_bound)
@@ -294,6 +294,8 @@ def _cmd_q_decompose(args) -> dict:
 
 
 def _cmd_q_verify(args) -> dict:
+    from .lgp_decompose import verify_certificate
+
     if args.cert.startswith("@"):
         with open(args.cert[1:]) as fh:
             data = json.load(fh)
@@ -371,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--aux-prime-bound",
         type=int,
-        default=lgp_decompose.DEFAULT_AUX_PRIME_BOUND,
+        default=brauer_q.DEFAULT_AUX_PRIME_BOUND,
     )
     sp.set_defaults(func=_cmd_q_decompose)
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .brauer_q import (
+    DEFAULT_AUX_PRIME_BOUND,
     HALF,
     BrauerClass2,
     Place,
@@ -29,8 +30,6 @@ from .brauer_q import (
     is_prime,
     splits_in_multiquadratic,
 )
-
-DEFAULT_AUX_PRIME_BOUND = 10**6
 
 
 class SearchBoundExceeded(RuntimeError):

@@ -13,10 +13,12 @@ every entry of rho(g) is a sum over the tree path to g, and the relations
 rho(g s) = rho(g) rho(s) have one relator matrix R as every entry's
 coefficients on its own unknowns (`Relators`, eliminated once per group and
 modulus).  The entries (i, i + 2) need nothing but R and constants from the
-characters, so one batched solve decides chi_i u chi_(i+1) = 0 for every i,
-which is where most calls end.  The rest of the system is block lower
-triangular and small; one reversed-column RREF of it gives the
-lexicographically least homomorphism.
+characters, and those constants are bilinear in the characters' generator
+values; so the cup form `Relators.checks`, built once with R, decides
+chi_i u chi_(i+1) = 0 for every i from the generator values alone, which is
+where most calls end.  The rest of the system is block lower triangular and
+small; one reversed-column RREF of it gives the lexicographically least
+homomorphism.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rref
+from ._kernels import _dot, rref
 from .cochain_dga import Cochain
 from .fp_linalg import Solver, is_prime, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, _check_order, bfs_tree
@@ -204,8 +206,10 @@ class Relators:
     coefficient.  `solver` eliminates R once; `reduced` is its RREF and
     `kernel` spans its null space, the characters' values on the
     generators.  pairs[g, k, l] counts the edges via s_l of the path to g,
-    each weighted by the s_k in the path to its start.  No array is
-    |G| x |G|."""
+    each weighted by the s_k in the path to its start.  `checks`, the cup
+    form, has one row per independent condition that the distance-2
+    relations put on the generator values a (x) b of two characters.  No
+    array is |G| x |G|."""
 
     def __init__(self, group: FiniteGroup, p: int):
         gens = group.generating_set()
@@ -220,16 +224,31 @@ class Relators:
             up = up[up]
         self.gens = np.asarray(gens, dtype=np.int64)
         self.ends = group.mul[:, gens]
-        edge = np.eye(len(gens), dtype=np.int64)[self.via]
+        eye = np.eye(len(gens), dtype=np.int64)
+        edge = eye[self.via]
         edge[group.identity] = 0
         self.paths = self.path_sums(edge) % p
         self.pairs = self.path_sums(self.paths[self.parent, :, None] * edge[:, None]) % p
-        matrix = self.paths[self.ends] - self.paths[:, None] - np.eye(len(gens), dtype=np.int64)
+        matrix = self.paths[self.ends] - self.paths[:, None] - eye
         matrix = matrix.reshape(-1, len(gens)) % p
         self.p, self.solver = p, Solver(matrix, p)
         red, pivots = rref(matrix, p)
         self.reduced = red[: len(pivots)]
         self.kernel = null_space_rows(red, pivots, p)
+        # The constants of `distance_two` are bilinear in the generator values
+        # a of chi_i and b of chi_(i+1): c_i = sum_kl a_k b_l M_kl, with
+        # M_kl(g, s) = pairs[g, k, l] - pairs[g s, k, l] + paths[g, k] [s = l].
+        # c_i is in the column space of R iff its residue after a solve is 0,
+        # so the RREF rows of the residues of the M_kl decide it:
+        # checks @ (a (x) b) = 0.  Their number is the rank of the cup
+        # products on generator values.
+        residues = []
+        for k in range(len(gens)):  # M_kl for every l: rows (g, s), columns l
+            cup = self.pairs[:, None, k] - self.pairs[self.ends, k] + self.paths[:, None, k, None] * eye
+            cup = cup.reshape(-1, len(gens)) % p
+            residues.append(cup - _dot(matrix, self.solver.solve_many(cup)[0]))
+        red, pivots = rref(np.concatenate(residues, axis=1), p)
+        self.checks = red[: len(pivots)]
 
     def path_sums(self, values: np.ndarray) -> np.ndarray:
         """Sums of values[h] over the path h != e from the identity to each
@@ -306,13 +325,16 @@ def find_prescribed_hom(
     in it has a superdiagonal factor, a fixed character value.  So the
     relations at (i, j) are R on the own unknowns plus character-weighted
     path sums of the unknowns nearer the diagonal: block lower triangular.
-    The distance-2 blocks have only constants besides R, and one
-    `solve_many` on the cached solver decides them all; most calls end
-    there with None.  A consistent block is x_i in x2_i + ker R, which the
-    RREF rows of R state.  With them, the relations at distance 3 go into
-    one reversed-column RREF that gives the least solution.  The bilinear
-    m_02 m_24 in the full n = 4 corner is made affine by fixing the (0, 2)
-    unknowns to each solution of their block in turn.
+    The distance-2 blocks have only constants besides R, bilinear in the
+    generator values of chi_i and chi_(i+1), so the cached cup form
+    `Relators.checks` decides them all with one product; most calls end
+    there with None.  The others solve the blocks on the cached solver
+    (its verdict must agree) for x2: a consistent block is x_i in
+    x2_i + ker R, which the RREF rows of R state.  With them, the
+    relations at distance 3 go into one reversed-column RREF that gives
+    the least solution.  The bilinear m_02 m_24 in the full n = 4 corner is
+    made affine by fixing the (0, 2) unknowns to each solution of their
+    block in turn.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -326,10 +348,15 @@ def find_prescribed_hom(
     values = np.array([c.values for c in chars]).T
     last = n - 1 if bar else n  # the bar quotient drops the corner (0, n)
     if last >= 2:
+        at = values[rel.gens]  # the cup form on a (x) b, column i for chi_i, chi_(i+1)
+        if (rel.checks @ (at[:, None, :-1] * at[None, :, 1:]).reshape(-1, n - 1) % p).any():
+            return None
         at_zero, constants = rel.distance_two(values)
         x2, ok = rel.solver.solve_many(constants)
         if not ok.all():
-            return None
+            raise RuntimeError(
+                "internal error: the cup form passed a distance-2 block that the relator solve rejects"
+            )
     gens = group.generating_set()
     free = [(i, j) for i, j in target.positions if j - i >= 2]
     width = len(gens) * len(free) + 1

@@ -1,4 +1,5 @@
 import ast
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from masseybrauer.brauer_q import (
     BrauerClass2,
     FactorBoundExceeded,
     Place,
+    QuaternionSymbol,
     classes_equal,
     factorize,
     hilbert_symbol,
@@ -44,6 +46,37 @@ class TestPlace:
     def test_ordering(self):
         places = [Place.prime(5), REAL, Place.prime(2)]
         assert [str(v) for v in sorted(places)] == ["inf", "2", "5"]
+
+    def test_value_semantics(self):
+        v = Place.prime(3)
+        assert v == Place(True, 3) and v != Place.prime(5) and v != (True, 3)
+        assert len({v, Place.prime(3), REAL, Place.real()}) == 2
+        assert REAL <= v < Place.prime(5) and Place.prime(5) >= v > REAL
+        assert pickle.loads(pickle.dumps(v)) == v
+        assert repr(v) == "Place(finite=True, q=3)"
+        for name in ("q", "finite"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        with pytest.raises(ValueError, match="carries no prime"):
+            Place(False, 3)
+        with pytest.raises(TypeError):
+            REAL < 0  # noqa: B015
+
+
+class TestQuaternionSymbol:
+    def test_value_semantics(self):
+        s = QuaternionSymbol(2, -3)
+        assert s == QuaternionSymbol(2, -3) and s != QuaternionSymbol(-3, 2)
+        assert hash(s) == hash(QuaternionSymbol(2, -3)) and s != (2, -3)
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert repr(s) == "QuaternionSymbol(a=2, b=-3)"
+        with pytest.raises(AttributeError):
+            s.a = 5
+        for a, b in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                QuaternionSymbol(a, b)
 
 
 class TestFactorize:

@@ -1,5 +1,5 @@
 """The package namespace resolves lazily, and the Brauer side of the CLI
-starts without the group engine or numpy."""
+starts without the group engine, numpy or dataclasses."""
 
 import importlib
 import os
@@ -40,6 +40,17 @@ class TestNumpyFreeStart:
     @pytest.mark.parametrize("module", ["masseybrauer", "masseybrauer.cli"])
     def test_import_loads_no_numpy(self, module):
         done = fresh_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # lgp_decompose (and with it dataclasses, which imports inspect) is
+        # imported by the q decompose and q verify handlers when they run
+        done = fresh_python(
+            "import sys, masseybrauer.cli\n"
+            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect',\n"
+            "                      'masseybrauer.lgp_decompose') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("argv, golden", Q_CALLS, ids=[c[0][1] for c in Q_CALLS])

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from masseybrauer.group_core import Character, FiniteGroup, close_generators, cy
 from masseybrauer.massey import DefiningSystem, find_triple_defining_system, tilde
 from masseybrauer.unipotent import (
     GroupHom,
+    Relators,
     build_unipotent,
     check_surjective,
     find_prescribed_hom,
@@ -280,6 +283,64 @@ class TestMatchesTreeSystem:
                 assert (got is None) == (want is None), where
                 if got is not None:
                     assert got.images.tobytes() == want.images.tobytes(), where
+
+
+def _bench_module():
+    path = Path(__file__).resolve().parents[1] / "bench" / "benchmark.py"
+    spec = importlib.util.spec_from_file_location("bench_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _relators(g, p):
+    return g.cached(("relators", p), lambda: Relators(g, p))
+
+
+class TestCupForm:
+    """`Relators.checks` decides a distance-2 block from the generator values
+    alone, as the relator solve it stands in for does."""
+
+    @pytest.mark.parametrize(
+        "name,p,rank",
+        [("elab:2:5", 2, 15), ("elab:3:3", 3, 3), ("unipotent:2:3", 3, 0),
+         ("dihedral:16", 2, 2), ("quaternion8", 2, 2), ("cyclic:25", 5, 0),
+         ("cyclic:4", 2, 0)],
+    )
+    def test_form_decides_like_the_solve(self, name, p, rank):
+        g = builtin_group(name)
+        rel = _relators(g, p)
+        assert rel.checks.shape == (rank, len(rel.gens) ** 2)
+        verdicts = set()
+        for a, b in itertools.product(_all_characters(g, p), repeat=2):
+            values = np.stack([a.values, b.values], axis=1)
+            at = values[rel.gens]
+            form = not (rel.checks @ np.kron(at[:, 0], at[:, 1]) % p).any()
+            solve = bool(rel.solver.solve_many(rel.distance_two(values)[1])[1].all())
+            assert form == solve, (name, a.values.tolist(), b.values.tolist())
+            verdicts.add(solve)
+        assert verdicts == ({True, False} if rank else {True})
+
+    def test_bench_cases_match_tree_system(self):
+        calls = 0
+        for label, g, tuples, n, bar in _bench_module().u_hom_cases():
+            for chars in tuples:
+                got = find_prescribed_hom(g, chars, n, bar=bar)
+                want = prescribed_hom_by_tree_system(g, chars, n, bar=bar)
+                where = (label, [c.values.tolist() for c in chars])
+                assert (got is None) == (want is None), where
+                if got is not None:
+                    assert got.images.tobytes() == want.images.tobytes(), where
+                calls += 1
+        assert calls == 8154
+
+    def test_disagreement_with_the_solve_raises(self, monkeypatch):
+        g = builtin_group("elab:2:3")
+        chi = _all_characters(g, 2)[1]  # chi u chi != 0 at p = 2
+        assert find_prescribed_hom(g, [chi, chi], 2) is None
+        monkeypatch.setattr(_relators(g, 2), "checks", np.zeros((0, 9), dtype=np.int64))
+        with pytest.raises(RuntimeError, match="internal error"):
+            find_prescribed_hom(g, [chi, chi], 2)
 
 
 class TestCupCriterion:
