@@ -145,6 +145,11 @@ def _delta(
     return c[h, k] - c[mul[g, h], k] + c[g, mul[h, k]] - c[g, h]
 
 
+def _generators(group: FiniteGroup) -> np.ndarray:
+    """S, the generating set without e and without repeats, in index order."""
+    return np.array(sorted(set(group.generating_set()) - {group.identity}), dtype=np.int64)
+
+
 def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
     """Z^degree as null_space_rows(RREF(d^degree)), solved for from the
     values at last arguments s in S, the generators other than e.
@@ -159,7 +164,7 @@ def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
     last independent columns: the RREF with the columns reversed.
     """
     n, e, mul = group.order, group.identity, group.mul
-    gens = np.array(sorted(set(group.generating_set()) - {e}), dtype=np.int64)
+    gens = _generators(group)
     ns = len(gens)
     if degree == 1:
         t = np.zeros((n, ns), dtype=np.int64)  # t[k] = f(k) in the unknowns f(s)
@@ -189,28 +194,62 @@ def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
 
 
 def _check_cocycles(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> None:
-    """Raise unless every row of z is a cocycle: d of all rows at once, in
-    blocks of first arguments that keep each array near 2^21 entries."""
-    n = group.order
+    """Raise unless every row of z is a cocycle, from dz at last arguments
+    s in S only: |G|^degree |S| values per row instead of |G|^(degree+1).
+
+    d(dz) = 0 writes dz(.., ks) as dz(.., k) plus terms in dz(.., s), so if
+    dz(.., s) = 0 for every s in S, then dz(.., ks) = dz(.., k), and as S
+    generates G, dz(.., k) = dz(.., e) for every k.  So z is a cocycle iff
+    dz vanishes at last arguments in S and at e, where dz(g, e) = z(e) in
+    degree 1 and dz(g, h, e) = z(h, e) - z(gh, e) in degree 2: z(e) = 0,
+    resp. z(., e) constant.  (With S nonempty that follows from the values
+    at S; S is empty for the trivial group.)  d is applied to all rows at
+    once, in blocks of first arguments that keep each array near 2^21
+    entries."""
+    n, e = group.order, group.identity
+    gens = _generators(group)
     # residues are below MAX_PRIME < 2^16, so d of them fits int32
     c = np.ascontiguousarray(z.T, dtype=np.int32).reshape((n,) * degree + (len(z),))
-    step = max(1, (1 << 21) // max(c.size, 1))
-    every = np.arange(n)
-    for lo in range(0, n, step):
-        if (_delta(c, group.mul, degree, every[lo : lo + step], every) % p).any():
-            raise RuntimeError("internal error: a cocycle basis row is not a cocycle")
+    at_e = c[e] if degree == 1 else c[:, e] - c[e, e]
+    step = max(1, (1 << 21) // max(c.size // n * len(gens), 1))
+    if (at_e % p).any() or any(
+        (_delta(c, group.mul, degree, np.arange(lo, min(lo + step, n)), gens) % p).any()
+        for lo in range(0, n, step)
+    ):
+        raise RuntimeError("internal error: a cocycle basis row is not a cocycle")
+
+
+def _coboundary_rows(group: FiniteGroup, p: int, degree: int, rows: np.ndarray) -> np.ndarray:
+    """The given rows of coboundary_matrix(group, p, degree), degree 0 or 1,
+    without building the others."""
+    n = group.order
+    if degree == 0:
+        return np.zeros((len(rows), 1), dtype=np.int64)
+    # (d e_x)(g, h) = [g = x] + [h = x] - [gh = x]
+    g, h = np.divmod(rows, n)
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    at = np.arange(len(rows))
+    np.add.at(out, (at, g), 1)
+    np.add.at(out, (at, h), 1)
+    np.add.at(out, (at, group.mul[g, h]), -1)
+    return out % p
 
 
 @dataclass
 class CohomologyBasis:
-    """H^degree data: representative cocycles and a precomputed solver on
-    [d^(degree-1) | Z^T] whose solution entries at `_rep_cols` are the
-    coordinates of a cocycle in the basis."""
+    """H^degree data: representative cocycles, and the map that reads the
+    coordinates of a class from a cocycle's values at the columns L.
+
+    The rows of Z come from a reversed-column RREF, so each row is the
+    identity on its last nonzero column; L is the set of these columns.
+    A cocycle z is therefore sum_i z[L_i] Z_i = Z^T z[L], restriction to L
+    is injective on Z, and a cochain is a cocycle iff it equals Z^T z[L]."""
 
     degree: int
     representatives: list[Cochain]
-    _solver: Solver
-    _rep_cols: np.ndarray
+    _z_t: np.ndarray  # Z^T as float64, |G|^degree x dim Z
+    _lead: np.ndarray  # L
+    _to_coords: np.ndarray  # float64, dim H x |L|
     p: int
 
     @property
@@ -225,14 +264,15 @@ class CohomologyBasis:
 
     def coordinates_batch(self, flats: np.ndarray) -> np.ndarray:
         """Coordinates for many flattened cochains (one per column); raises
-        unless every one is a cocycle.  The solver's columns [d^(k-1) | Z^T]
-        span exactly Z^k, so its exact check is the cocycle test."""
-        if flats.shape[0] != self._solver.rows:
+        unless every one is a cocycle, checked exactly as z = Z^T z[L]."""
+        if flats.shape[0] != len(self._z_t):
             raise ValueError("dimension mismatch")
-        x, ok = self._solver.solve_many(flats)
-        if not ok.all():
+        b = np.ascontiguousarray(flats, dtype=np.int64) % self.p
+        at = b[self._lead].astype(np.float64)
+        # exact in float64: dot products of dim Z < MAX_COLS residue pairs
+        if not np.array_equal((self._z_t @ at).astype(np.int64) % self.p, b):
             raise ValueError("not a cocycle")
-        return x[self._rep_cols]
+        return (self._to_coords @ at).astype(np.int64) % self.p
 
 
 class CohomologyRing:
@@ -264,16 +304,32 @@ class CohomologyRing:
         g, p = self.group, self.p
         n = g.order
         # Z^degree from the values at the generators (never d^degree itself),
-        # checked against the differential on every argument tuple
+        # checked against the differential at the generators
         z = _cocycles(g, p, degree)
         _check_cocycles(g, p, degree, z)
-        # the pivot columns of [d^(degree-1) | Z^T] after the B part are the
-        # cocycles outside B and the span of the cocycles before them
+        lead = z.shape[1] - 1 - np.argmax(z[:, ::-1] != 0, axis=1)
+        # Restriction to L is injective on Z, which holds the columns of
+        # [d^(degree-1) | Z^T]; so [d^(degree-1)[L] | I] has the same column
+        # dependencies and the same solutions for cocycles.  Its pivot
+        # columns after the B part are the cocycles outside B and the span
+        # of the cocycles before them, and as it has full row rank, its RREF
+        # is E [d^(degree-1)[L] | I] with E the inverse of its pivot columns:
+        # the right block E maps z[L] to the pivot unknowns.
         nb = n ** (degree - 1)
-        solver = Solver(np.concatenate([coboundary_matrix(g, p, degree - 1), z.T], axis=1), p)
-        rep_cols = solver.pivots[solver.pivots >= nb]
-        reps = [Cochain(g, p, degree, v.reshape((n,) * degree)) for v in z[rep_cols - nb]]
-        return CohomologyBasis(degree, reps, solver, rep_cols, p)
+        red, pivots = rref(
+            np.concatenate([_coboundary_rows(g, p, degree - 1, lead), np.eye(len(lead), dtype=np.int64)], axis=1),
+            p,
+        )
+        is_rep = pivots >= nb
+        reps = [Cochain(g, p, degree, v.reshape((n,) * degree)) for v in z[pivots[is_rep] - nb]]
+        return CohomologyBasis(
+            degree,
+            reps,
+            np.ascontiguousarray(z.T, dtype=np.float64),
+            lead,
+            np.ascontiguousarray(red[is_rep, nb:], dtype=np.float64),
+            p,
+        )
 
     # convenience views -----------------------------------------------------
 

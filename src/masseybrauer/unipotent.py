@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _dot, rref
+from ._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from .cochain_dga import Cochain
 from .fp_linalg import Solver, is_prime, null_space_rows, row_space_basis
 from .group_core import Character, FiniteGroup, _check_order, bfs_tree
@@ -242,13 +242,32 @@ class Relators:
         # so the RREF rows of the residues of the M_kl decide it:
         # checks @ (a (x) b) = 0.  Their number is the rank of the cup
         # products on generator values.
-        residues = []
-        for k in range(len(gens)):  # M_kl for every l: rows (g, s), columns l
-            cup = self.pairs[:, None, k] - self.pairs[self.ends, k] + self.paths[:, None, k, None] * eye
-            cup = cup.reshape(-1, len(gens)) % p
-            residues.append(cup - _dot(matrix, self.solver.solve_many(cup)[0]))
-        red, pivots = rref(np.concatenate(residues, axis=1), p)
-        self.checks = red[: len(pivots)]
+        ns, every = len(gens), np.arange(group.order)
+
+        def cup(at: np.ndarray, ks: np.ndarray) -> np.ndarray:
+            # M_kl(g, s) for g in `at` and k in `ks`, axes (g, s, k, l)
+            return (
+                self.pairs[at[:, None], ks][:, None]
+                - self.pairs[self.ends[at][:, :, None], ks]
+                + self.paths[at[:, None], ks][:, None, :, None] * eye[:, None, :]
+            )
+
+        # R x = M_kl for every k (rows (g, s), columns l), then the residues
+        # (columns (k, l)) reduced in blocks of g, never stacked
+        solved = np.concatenate(
+            [self.solver.solve_many(cup(every, [k]).reshape(-1, ns) % p)[0] for k in range(ns)], axis=1
+        )
+        step = max(1, BLOCK_ROWS // ns)
+        red, _ = rref_blocks(
+            (
+                cup(every[lo : lo + step], np.arange(ns)).reshape(-1, ns * ns)
+                - _dot(matrix[lo * ns : (lo + step) * ns], solved)
+                for lo in range(0, group.order, step)
+            ),
+            ns * ns,
+            p,
+        )
+        self.checks = red
 
     def path_sums(self, values: np.ndarray) -> np.ndarray:
         """Sums of values[h] over the path h != e from the identity to each

@@ -9,13 +9,18 @@ tables one entry at a time from their defining formulas.  `realize_by_scan`
 finds x by trying every candidate of the documented scan order in turn.
 `prescribed_hom_by_backtracking` finds a homomorphism into U_{n+1}(F_p) by
 depth-first search over generator images, and `prescribed_hom_by_tree_system`
-by eliminating every relation of affine matrices walked along a BFS tree.
+by eliminating every relation of affine matrices walked along a BFS tree;
+`cup_form_by_stacked_residues` reduces the cup form of `Relators` from all of
+its residue rows at once.
 `coboundary_rows` writes rows of the matrix of d entry by entry from the bar
 formula, independently of the library's one batched differential.
 `cohomology_by_full_stream` builds an H^degree basis from all of d^degree,
 with an [A | I] `TransformSolver` for coordinates, and
 `cocycles_by_generator_rows` reduces Z^degree from the rows of d^degree whose
-last argument is e or a generator.  `cup_span_by_cochains` spans chi u H^1
+last argument is e or a generator.  `check_cocycles_by_all_tuples` applies d
+to a cocycle basis on every argument tuple, and `coordinates_by_cocycle_solver`
+reads class coordinates from one `Solver` on the |G|^degree-row matrix
+[d^(degree-1) | Z^T].  `cup_span_by_cochains` spans chi u H^1
 from the cup cochains themselves, not from the ring's table of basis cups,
 and `res_kernel_by_restrict` builds the restriction matrix one `restrict`
 cochain at a time.
@@ -32,11 +37,11 @@ import numpy as np
 
 from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
-from masseybrauer.cochain_dga import CohomologyRing, get_ring, restrict
-from masseybrauer.fp_linalg import null_space_rows, row_space_basis
+from masseybrauer.cochain_dga import CohomologyRing, _cocycles, _delta, get_ring, restrict
+from masseybrauer.fp_linalg import Solver, null_space_rows, row_space_basis
 from masseybrauer.group_core import Character, FiniteGroup, Subgroup, bfs_tree
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
-from masseybrauer.unipotent import GroupHom, build_unipotent
+from masseybrauer.unipotent import GroupHom, Relators, build_unipotent
 
 
 @lru_cache(maxsize=None)
@@ -576,6 +581,22 @@ def prescribed_hom_by_tree_system(
     return None if img is None else GroupHom(group, target, img)
 
 
+def cup_form_by_stacked_residues(rel: Relators) -> np.ndarray:
+    """The RREF rows of the residues of every M_kl after a solve on the
+    relator matrix R, stacked into one |G||S| x |S|^2 matrix (columns
+    (k, l)) and reduced whole."""
+    ns, p = len(rel.gens), rel.p
+    eye = np.eye(ns, dtype=np.int64)
+    matrix = ((rel.paths[rel.ends] - rel.paths[:, None] - eye).reshape(-1, ns)) % p
+    residues = []
+    for k in range(ns):  # M_kl for every l: rows (g, s), columns l
+        m = rel.pairs[:, None, k] - rel.pairs[rel.ends, k] + rel.paths[:, None, k, None] * eye
+        m = m.reshape(-1, ns) % p
+        residues.append((m - matrix @ rel.solver.solve_many(m)[0]) % p)
+    red, pivots = rref(np.concatenate(residues, axis=1), p)
+    return red[: len(pivots)]
+
+
 def _tree_equations(group: FiniteGroup, consts: np.ndarray, free, p: int):
     """Rows [coefficients | constant] of rho(g s) - rho(g) rho(s) = 0 at the
     positions `free` for every g and generator s, and the affine matrices
@@ -717,6 +738,34 @@ def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.nd
         p,
     )
     return null_space_rows(red, pivots, p)
+
+
+def check_cocycles_by_all_tuples(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> None:
+    """Raise unless every row of z is a cocycle: d of all rows at once on
+    every argument tuple, in blocks of first arguments that keep each array
+    near 2^21 entries."""
+    n = group.order
+    c = np.ascontiguousarray(z.T, dtype=np.int32).reshape((n,) * degree + (len(z),))
+    step = max(1, (1 << 21) // max(c.size, 1))
+    every = np.arange(n)
+    for lo in range(0, n, step):
+        if (_delta(c, group.mul, degree, every[lo : lo + step], every) % p).any():
+            raise RuntimeError("internal error: a cocycle basis row is not a cocycle")
+
+
+def coordinates_by_cocycle_solver(group: FiniteGroup, p: int, degree: int, flats: np.ndarray):
+    """(representative rows, coordinates, ok) for the columns of `flats`
+    from one Solver on [d^(degree-1) | Z^T], |G|^degree rows.  Its columns
+    span exactly Z, so ok is the cocycle test; the pivot columns after the
+    B part are the representatives, and a cocycle's solution entries there
+    are its coordinates."""
+    n = group.order
+    z = _cocycles(group, p, degree)
+    nb = n ** (degree - 1)
+    solver = Solver(np.concatenate([coboundary_rows(group, p, degree - 1), z.T], axis=1), p)
+    rep_cols = solver.pivots[solver.pivots >= nb]
+    x, ok = solver.solve_many(flats)
+    return z[rep_cols - nb], x[rep_cols], ok
 
 
 def cup_span_by_cochains(ring: CohomologyRing, chars: list[Character]) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from masseybrauer import cochain_dga
+from masseybrauer._kernels import rref
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import (
     Cochain,
@@ -18,6 +19,7 @@ from masseybrauer.cochain_dga import (
     get_ring,
     restrict,
 )
+from masseybrauer.fp_linalg import null_space_rows
 from masseybrauer.group_core import (
     Character,
     FiniteGroup,
@@ -31,9 +33,11 @@ from masseybrauer.group_core import (
 
 from oracles import (
     TransformSolver,
+    check_cocycles_by_all_tuples,
     coboundary_rows,
     cocycles_by_generator_rows,
     cohomology_by_full_stream,
+    coordinates_by_cocycle_solver,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -96,6 +100,9 @@ class TestDifferential:
             n = len(full)
             for rows in [np.arange(5), np.arange(n // 3, n // 2), np.arange(1, n, 7), [n - 1, 0]]:
                 assert np.array_equal(coboundary_rows(g, 3, degree, rows), full[rows])
+                if degree < 2:
+                    got = cochain_dga._coboundary_rows(g, 3, degree, np.asarray(rows))
+                    assert got.dtype == full.dtype and np.array_equal(got, full[rows])
 
 
 class TestCup:
@@ -277,9 +284,14 @@ class TestAgainstFullStream:
         # at order 32 an [A | I] transform has |G|^4 = 1048576 entries
         g = builtin_group("cyclic:32")
         ring = CohomologyRing(g, 2)
-        for solver in (ring.d1_solver(), ring.basis(2)._solver):
-            sizes = [a.size for a in _arrays(solver, set())]
-            assert sizes and max(sizes) <= g.order**3
+        sizes = [a.size for a in _arrays(ring.d1_solver(), set())]
+        assert sizes and max(sizes) <= g.order**3
+        # a basis holds Z^T and maps on its pivot coordinates: no array is
+        # larger than |G|^degree x dim Z
+        for degree in (1, 2):
+            dim_z = len(cochain_dga._cocycles(g, 2, degree))
+            sizes = [a.size for a in _arrays(ring.basis(degree), set())]
+            assert sizes and max(sizes) <= g.order**degree * dim_z
 
 
 def _s4_with_extra_generators():
@@ -329,6 +341,123 @@ class TestCocycleSystem:
         monkeypatch.setattr(cochain_dga, "_cocycles", corrupted)
         with pytest.raises(RuntimeError, match="internal error"):
             CohomologyRing(builtin_group("dihedral:4"), 2).basis(degree)
+
+
+def _corruptions(g, degree):
+    """Flat indices of one entry at each kind of last argument (e, each s in
+    S, the least element outside S and e), at first arguments e and the last
+    element in degree 2."""
+    e, gens = g.identity, sorted(set(g.generating_set()) - {g.identity})
+    lasts = [e, *gens, min(set(range(g.order)) - set(gens) - {e})]
+    if degree == 1:
+        return lasts
+    return [first * g.order + k for first in (e, g.order - 1) for k in lasts]
+
+
+CHECK_CASES = [
+    (lambda: builtin_group("dihedral:4"), 2),
+    (lambda: builtin_group("cyclic:9"), 3),
+    (_s4_with_extra_generators, 3),
+    (lambda: FiniteGroup(cyclic_group(8).mul, generators=[3, 1, 0]), 2),
+]
+CHECK_IDS = ["dihedral:4", "cyclic:9@3", "s4-extra@3", "z8-redundant-e"]
+
+
+class TestCocycleCheck:
+    """The check at last arguments in S and e, against d on every tuple."""
+
+    @pytest.mark.parametrize("name,p", FULL_STREAM_CASES)
+    def test_honest_bases_pass_both(self, name, p):
+        g = builtin_group(name)
+        for degree in (1, 2):
+            z = cochain_dga._cocycles(g, p, degree)
+            cochain_dga._check_cocycles(g, p, degree, z)
+            check_cocycles_by_all_tuples(g, p, degree, z)
+
+    @pytest.mark.parametrize("make,p", CHECK_CASES, ids=CHECK_IDS)
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_single_entry_corruption_raises(self, make, p, degree):
+        g = make()
+        # Z^1 of S_4 at 3 is 0: a zero row, a cocycle, is corrupted as well
+        z = cochain_dga._cocycles(g, p, degree)
+        z = np.concatenate([z, np.zeros((1, z.shape[1]), dtype=z.dtype)])
+        for idx in _corruptions(g, degree):
+            for row in {0, len(z) - 1}:
+                bad = z.copy()
+                bad[row, idx] = (bad[row, idx] + 1) % p
+                for check in (cochain_dga._check_cocycles, check_cocycles_by_all_tuples):
+                    with pytest.raises(RuntimeError, match="internal error"):
+                        check(g, p, degree, bad)
+
+    # in z8-redundant-e the generator 1 alone gives the whole group
+    @pytest.mark.parametrize("make,p", CHECK_CASES[:3], ids=CHECK_IDS[:3])
+    def test_every_generator_is_read(self, make, p):
+        # a cochain whose d vanishes at every last argument in S and e but
+        # one s is rejected whenever it is not a cocycle
+        g = make()
+        gens = sorted(set(g.generating_set()) - {g.identity})
+        caught = 0
+        for degree in (1, 2):
+            for s in gens:
+                ks = [k for k in [g.identity, *gens] if k != s]
+                rows = (np.arange(g.order**degree)[:, None] * g.order + ks).ravel()
+                red, pivots = rref(coboundary_rows(g, p, degree, rows), p)
+                for z in null_space_rows(red, pivots, p):
+                    try:
+                        check_cocycles_by_all_tuples(g, p, degree, z[None])
+                    except RuntimeError:
+                        caught += 1
+                        with pytest.raises(RuntimeError, match="internal error"):
+                            cochain_dga._check_cocycles(g, p, degree, z[None])
+        assert caught
+
+    def test_trivial_group_reads_e(self):
+        # S is empty: only z(e) = 0 separates cocycles in degree 1, and every
+        # 2-cochain of the trivial group is a cocycle
+        g = builtin_group("cyclic:1")
+        for check in (cochain_dga._check_cocycles, check_cocycles_by_all_tuples):
+            with pytest.raises(RuntimeError, match="internal error"):
+                check(g, 2, 1, np.ones((1, 1), dtype=np.int64))
+            check(g, 2, 2, np.ones((1, 1), dtype=np.int64))
+
+
+class TestCoordinatesAgainstSolver:
+    """Representatives, coordinates and "not a cocycle" verdicts, byte for
+    byte against one Solver on [d^(k-1) | Z^T]."""
+
+    @pytest.mark.parametrize(
+        "name,p", FULL_STREAM_CASES + [("dihedral:32", 2), ("elab:2:6", 2)]
+    )
+    def test_identical(self, name, p):
+        g = builtin_group(name)
+        ring = CohomologyRing(g, p)
+        rng = np.random.default_rng(g.order * p + 1)
+        for degree in (1, 2):
+            z = cochain_dga._cocycles(g, p, degree)
+            cocycles = (rng.integers(0, p, (len(z), 10)).T @ z % p).T
+            other = rng.integers(0, p, (g.order**degree, 4))
+            nudged = cocycles[:, :3].copy()
+            nudged[rng.integers(0, g.order**degree, 3), range(3)] += 1
+            flats = np.concatenate([cocycles, other, nudged, np.zeros_like(other[:, :1])], axis=1)
+            reps, want, ok = coordinates_by_cocycle_solver(g, p, degree, flats)
+            basis = ring.basis(degree)
+            got = np.array([c.flat() for c in basis.representatives], dtype=np.int64)
+            assert got.reshape(reps.shape).tobytes() == reps.tobytes()
+            assert ok[:10].all() and ok[-1]
+            got = basis.coordinates_batch(flats[:, ok])
+            assert got.dtype == want.dtype and got.tobytes() == want[:, ok].tobytes()
+            verdicts = []
+            for j in range(flats.shape[1]):
+                try:
+                    basis.coordinates_batch(flats[:, j : j + 1])
+                    verdicts.append(True)
+                except ValueError as err:
+                    assert str(err) == "not a cocycle"
+                    verdicts.append(False)
+            assert np.array(verdicts).tobytes() == ok.tobytes()
+            if not ok.all():
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    basis.coordinates_batch(flats)
 
 
 class TestClosedFormDimensions:

@@ -18,7 +18,11 @@ from masseybrauer.unipotent import (
     frattini_criterion,
     gamma_from_system,
 )
-from oracles import prescribed_hom_by_backtracking, prescribed_hom_by_tree_system
+from oracles import (
+    cup_form_by_stacked_residues,
+    prescribed_hom_by_backtracking,
+    prescribed_hom_by_tree_system,
+)
 
 
 class TestBuildUnipotent:
@@ -320,6 +324,26 @@ class TestCupForm:
             assert form == solve, (name, a.values.tolist(), b.values.tolist())
             verdicts.add(solve)
         assert verdicts == ({True, False} if rank else {True})
+
+    @pytest.mark.parametrize(
+        "make,p",
+        [
+            (lambda: builtin_group("elab:2:5"), 2),
+            (lambda: builtin_group("elab:3:3"), 3),
+            (lambda: builtin_group("dihedral:16"), 2),
+            (lambda: builtin_group("unipotent:3:2"), 2),
+            (lambda: builtin_group("cyclic:25"), 5),
+            (lambda: FiniteGroup(cyclic_group(8).mul, generators=[3, 1, 0]), 2),
+            (lambda: close_generators([[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [0, 1, 3, 2], [0, 1, 2, 3]]), 3),
+        ],
+        ids=["elab:2:5", "elab:3:3", "dihedral:16", "unipotent:3:2", "cyclic:25",
+             "z8-redundant-e", "s4-extra@3"],
+    )
+    def test_streamed_form_matches_stacked(self, make, p):
+        rel = Relators(make(), p)
+        want = cup_form_by_stacked_residues(rel)
+        assert rel.checks.dtype == want.dtype and rel.checks.shape == want.shape
+        assert rel.checks.tobytes() == want.tobytes()
 
     def test_bench_cases_match_tree_system(self):
         calls = 0
