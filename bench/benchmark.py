@@ -42,8 +42,10 @@ homs found, and the median and the largest call time in milliseconds.
 The h2 cases build a fresh `CohomologyRing` and its H^1 and H^2 bases in a
 new interpreter for each group: the `h2-cold` benchmark set, groups of order
 27 and 32, `elab:2:6`, `unipotent:3:2` and `dihedral:32` of order 64,
-`elab:3:4` of order 81, and `dihedral:64`, `cyclic:128` and `elab:2:7` of
-order 128.  Each line gives
+`elab:3:4` of order 81, `dihedral:64`, `cyclic:128` and `elab:2:7` of
+order 128, `elab:3:5` (p = 3) of order 243, and `elab:2:8` and `cyclic:256`
+of order 256, the largest order whose H^2 `cochain_dga.MAX_CELLS` admits.
+Each line gives
 the group, p, dim H^1 and dim H^2, the time of the two bases (the group is
 built before the clock starts) and the peak RSS of that process in MB.
 
@@ -227,7 +229,7 @@ _H2 = [
     ("cyclic:20", 5), ("elab:3:3", 3), ("unipotent:2:3", 3), ("cyclic:32", 2),
     ("elab:2:5", 2), ("dihedral:16", 2), ("elab:2:6", 2), ("unipotent:3:2", 2),
     ("dihedral:32", 2), ("elab:3:4", 3), ("dihedral:64", 2), ("cyclic:128", 2),
-    ("elab:2:7", 2),
+    ("elab:2:7", 2), ("elab:3:5", 3), ("elab:2:8", 2), ("cyclic:256", 2),
 ]
 
 # one cold ring in the child: prints dim H^1, dim H^2, seconds, peak RSS in MB

@@ -6,9 +6,12 @@ of BLOCK_ROWS.  A block is first reduced against the echelon rows found so
 far with one float64 matrix product; only what is left of it is eliminated
 pivot by pivot, and its new pivot columns are cleared from the earlier rows
 with a second product.  This is the delayed reduction of FFLAS-FFPACK
-(Dumas, Giorgi and Pernet, ACM TOMS 2008).  The reduced row echelon form of
-a row space is unique, so the blocking does not change the result, and a
-matrix of at most one block runs the per-pivot loop alone.
+(Dumas, Giorgi and Pernet, ACM TOMS 2008).  A block more than two panels
+wide is reduced the same way along its columns: PANEL columns at a time,
+with one product per panel for the columns right of it.  The reduced row
+echelon form of a row space is unique, so the blocking does not change the
+result, and a matrix of at most one block and two panels runs the per-pivot
+loop alone.
 """
 
 from __future__ import annotations
@@ -19,15 +22,18 @@ import numpy as np
 
 BLOCK_ROWS = 128
 
-# Every product below is a dot product of at most `cols` < MAX_COLS pairs of
-# residues below MAX_PRIME < 2^16 (fp_linalg), so it stays below
-# 2^21 * 2^32 = 2^53 and float64 computes it exactly.
+# columns per panel of a wide elimination (`_eliminate`)
+PANEL = 64
+
+# Every product below is a dot product of at most `cols` (a panel's: `rows`)
+# < MAX_COLS pairs of residues below MAX_PRIME < 2^16 (fp_linalg), so it
+# stays below 2^21 * 2^32 = 2^53 and float64 computes it exactly.
 MAX_COLS = 1 << 21
 
 
-def _check_cols(cols: int) -> None:
+def _check_cols(cols: int, what: str = "columns") -> None:
     if cols >= MAX_COLS:
-        raise ValueError(f"{cols} columns: float64 elimination is exact below {MAX_COLS}")
+        raise ValueError(f"{cols} {what}: float64 elimination is exact below {MAX_COLS}")
 
 
 def _modinv(a: int, p: int) -> int:
@@ -35,12 +41,13 @@ def _modinv(a: int, p: int) -> int:
     return pow(int(a), p - 2, p)
 
 
-def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
-    """In-place reduced row echelon form of residues mod p, one pivot at a
-    time; returns the pivot columns."""
-    rows, cols = a.shape
+def _pivot_loop(a: np.ndarray, p: int, cols: int, r: int = 0) -> tuple[list[int], int]:
+    """In-place RREF of the columns 0..cols-1 of residues mod p, one pivot at
+    a time, with the pivot rows taken from row r on (rows above r hold the
+    pivots of columns further left); every row operation acts on all of a.
+    Returns the pivot columns and the next pivot row."""
+    rows = a.shape[0]
     pivots = []
-    r = 0
     for c in range(cols):
         if r == rows:
             break
@@ -59,6 +66,47 @@ def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
             a[mask, c:] = (a[mask, c:] - np.outer(col[mask], a[r, c:])) % p
         pivots.append(c)
         r += 1
+    return pivots, r
+
+
+def _eliminate(a: np.ndarray, p: int) -> np.ndarray:
+    """In-place reduced row echelon form of residues mod p; returns the
+    pivot columns.
+
+    A matrix at most two panels wide runs the per-pivot loop on all of its
+    columns.  A wider one is reduced one panel of PANEL columns at a time,
+    left to right.  The loop runs on [panel | E], where E (the identity at
+    first) holds the row operations so far, so it leaves the operations of
+    this panel applied to E as well; it skips the columns of the panel that
+    are zero from the next pivot row down, which no operation of the panel
+    changes.  A later panel is first brought up to date by one product with
+    E, and once every row has a pivot, the columns left over get E in one
+    product.  Earlier panels need no update: a later pivot row is zero left
+    of its panel.  The products are dot products of `rows` terms, exact by
+    the MAX_COLS bound on `rows`.  The RREF is unique, so the panels do not
+    change the result; they keep each pivot's update within one panel and
+    E."""
+    rows, cols = a.shape
+    if cols <= 2 * PANEL:
+        return np.asarray(_pivot_loop(a, p, cols)[0], dtype=np.int64)
+    _check_cols(rows, "rows")
+    ops = None  # E, None until the first panel with a pivot
+    pivots, r, lo = [], 0, 0
+    while lo < cols and r < rows:
+        hi = min(lo + PANEL, cols)
+        if ops is not None:
+            a[:, lo:hi] = _dot(ops, a[:, lo:hi].astype(np.float64)) % p
+        live = lo + np.flatnonzero(a[r:, lo:hi].any(axis=0))
+        if live.size:
+            if ops is None:
+                ops = np.eye(rows, dtype=np.int64)
+            panel = np.concatenate([a[:, live], ops], axis=1)
+            found, r = _pivot_loop(panel, p, live.size, r)
+            a[:, live], ops = panel[:, : live.size], panel[:, live.size :]
+            pivots.extend(live[found].tolist())
+        lo = hi
+    if ops is not None and lo < cols:
+        a[:, lo:] = _dot(ops, a[:, lo:].astype(np.float64)) % p
     return np.asarray(pivots, dtype=np.int64)
 
 
@@ -80,11 +128,13 @@ def rref_blocks(
     red = np.zeros((0, cols), dtype=np.int64)
     pivots = np.zeros(0, dtype=np.int64)
     is_free = np.ones(cols, dtype=bool)
-    free = np.arange(cols)
-    red_free = red.astype(np.float64)  # red[:, free]
+    red_free = None  # red[:, free] as float64, built when a block needs it
     for block in blocks:
         b = np.asarray(block, dtype=np.int64) % p
         if len(pivots):
+            if red_free is None:
+                free = np.flatnonzero(is_free)
+                red_free = red[:, free].astype(np.float64)
             # red[:, pivots] is the identity: only the free columns change
             b[:, free] = (b[:, free] - _dot(b[:, pivots], red_free)) % p
             b[:, pivots] = 0
@@ -95,12 +145,13 @@ def rref_blocks(
         b = b[: len(new)]
         if len(pivots):
             red[:, free] = (red[:, free] - _dot(red[:, new], b[:, free].astype(np.float64))) % p
-        order = np.argsort(np.concatenate([pivots, new]))
-        red = np.concatenate([red, b])[order]
-        pivots = np.concatenate([pivots, new])[order]
+            order = np.argsort(np.concatenate([pivots, new]))
+            red = np.concatenate([red, b])[order]
+            pivots = np.concatenate([pivots, new])[order]
+        else:
+            red, pivots = b, new
         is_free[new] = False
-        free = np.flatnonzero(is_free)
-        red_free = red[:, free].astype(np.float64)
+        red_free = None
     return red, pivots
 
 

@@ -8,19 +8,43 @@ Convention: inhomogeneous (bar) cochains with trivial action, differential
 
 and cup product by front/back splitting, (a u b)(g, ..., h, ...) =
 a(front) b(back).  Cochains are not required to be normalized.
+
+Cocycles are solved for from the group's presentation (`_cocycles`), never
+from d^degree itself, and checked against d at last arguments in the
+generating set (`_check_cocycles`).  H^2 is refused above order 256
+(MAX_CELLS) before anything is allocated.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from .fp_linalg import Solver, _check_prime, _freeze, null_space_rows, row_space_basis
-from .group_core import Character, FiniteGroup, Subgroup, bfs_tree
+from .group_core import Character, FiniteGroup, Presentation, Subgroup
 
 MAX_DEGREE = 3
+
+# The largest H^degree built: a ring's arrays in degree k (Z^k and its
+# float64 copy in the basis; in degree 2 also the columns of d^1 and the
+# rows they are reduced in, and d^1 itself in `d1_solver`) have about
+# |G|^(k+1) entries.  2^24 admits H^2 up to order 256 (134 MB per int64
+# array, under 1 GB in all) and H^1 up to group_core.MAX_ORDER.
+MAX_CELLS = 1 << 24
+
+
+def _check_size(group: FiniteGroup, degree: int) -> None:
+    """Refuse H^degree of a group whose arrays would exceed MAX_CELLS,
+    before anything is allocated."""
+    cells = group.order ** (degree + 1)
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"size guard: H^{degree} of a group of order {group.order} needs arrays of "
+            f"{cells} > {MAX_CELLS} entries"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,52 +169,103 @@ def _delta(
     return c[h, k] - c[mul[g, h], k] + c[g, mul[h, k]] - c[g, h]
 
 
-def _generators(group: FiniteGroup) -> np.ndarray:
-    """S, the generating set without e and without repeats, in index order."""
-    return np.array(sorted(set(group.generating_set()) - {group.identity}), dtype=np.int64)
-
-
 def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
-    """Z^degree as null_space_rows(RREF(d^degree)), solved for from the
-    values at last arguments s in S, the generators other than e.
+    """Z^degree as null_space_rows(RREF(d^degree)), from the presentation
+    of the group (`FiniteGroup.presentation`): the BFS tree of its Cayley
+    graph by S, the generators other than e, and the edges off the tree.
 
-    A BFS tree of the Cayley graph writes every value of f = T u through
-    the unknowns u: f(hs) = f(h) + f(s) with f(e) = 0 in degree 1, and
-    f(g, hs) = f(g, h) + f(gh, s) - f(h, s) with f(., e) = f(e, e) in
-    degree 2, so df(.., e) = 0.  d(df) = 0 writes df(.., ks) through
-    df(.., k) and df(.., s), so f is a cocycle iff df(.., s) = 0 for each s
-    in S.  With K the kernel of these equations, the rows of K T^T span Z.
-    The basis above is the one that is the identity on the lexicographically
-    last independent columns: the RREF with the columns reversed.
+    Degree 1: f(hs) = f(h) + f(s) and f(e) = 0 write f = T u through its
+    values u at S (T = words), and f is a cocycle iff df(g, s) = 0 for each
+    g and s in S, as d(df) = 0 writes df(.., ks) through df(.., k) and
+    df(.., s).  With K the kernel of these equations, the rows of K T^T
+    span Z^1.
+
+    Degree 2: the unknowns u(v, t) sit on the off-tree edges (v, s_t), u
+    is 0 on the tree, and P(x, g) is the sum of u along x times the tree
+    word of g.  Then f_u(g, h) = P(g, h) is phi(w_g w_h w_gh^-1) for phi on
+    the relation module R of the free group F on S (its basis: one loop
+    per off-tree edge), w_g the tree word.  f_u is a cocycle iff phi is
+    invariant under conjugation by F, and as F is free on S and R is
+    generated by the loops at the off-tree edges (g, s), that is
+    P(x, g) + u(xg, s) - P(x, gs) - u(g, s) = 0 for x, s in S and those
+    (g, s): |S| rows per off-tree edge, streamed per x.  By
+    inflation-restriction and H^2(F) = 0 (Hopf's formula), every class of
+    H^2 is some [f_u], so Z^2 is spanned by the columns of d^1 and the f_u
+    for u in the kernel K.
+
+    The basis above is the one that is the identity on the
+    lexicographically last independent columns: the RREF of the spanning
+    rows with the columns reversed.  It depends only on Z, not on the
+    tree.
     """
-    n, e, mul = group.order, group.identity, group.mul
-    gens = _generators(group)
+    pres = group.presentation()
+    n, mul, gens = group.order, group.mul, pres.gens
     ns = len(gens)
     if degree == 1:
-        t = np.zeros((n, ns), dtype=np.int64)  # t[k] = f(k) in the unknowns f(s)
-        for k, h, j in bfs_tree(group, gens):
-            t[k] = t[h]
-            t[k, j] += 1
-    else:
-        # t[g, k] = f(g, k) in the unknowns f(g, s) (column g |S| + j) and f(e, e)
-        t = np.zeros((n, n, n * ns + 1), dtype=np.int64)
-        t[:, e, -1] = 1
-        g = np.arange(n)[:, None]
-        for k, h, j in bfs_tree(group, gens):
-            t[:, k] = t[:, h]
-            t[g, k, mul[g, h] * ns + j] += 1
-            t[g, k, h * ns + j] -= 1
-    m = t.shape[-1]
-    t %= p
-    per_first = n ** (degree - 1) * ns  # equations per first argument
-    step = max(1, BLOCK_ROWS // max(per_first, 1))
-    firsts = [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    red, pivots = rref_blocks(
-        (_delta(t, mul, degree, f, gens).reshape(len(f) * per_first, m) for f in firsts), m, p
-    )
-    span = _dot(null_space_rows(red, pivots, p), t.reshape(n**degree, m).T) % p
-    red, pivots = rref(span[:, ::-1], p)
-    return np.ascontiguousarray(red[: len(pivots)][::-1, ::-1])
+        t = pres.words % p
+        step = max(1, BLOCK_ROWS // max(ns, 1))
+        firsts = [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        red, pivots = rref_blocks(
+            (_delta(t, mul, 1, f, gens).reshape(len(f) * ns, ns) for f in firsts),
+            ns,
+            p,
+        )
+        span = _dot(null_space_rows(red, pivots, p), t.T) % p
+        red, pivots = rref(span[:, ::-1], p)
+        return np.ascontiguousarray(red[: len(pivots)][::-1, ::-1])
+    m = pres.edge_count
+    red, pivots = rref_blocks(_loop_equations(group, pres), m, p)
+    u = null_space_rows(red, pivots, p)
+    # f_u(g, h) = P(g, h) u: the sum over the tree path to h of u at the
+    # edges (g parent, via) (axes h, g, u), and 0 at the tree edges
+    at = np.zeros((n, ns, len(u)), dtype=np.int64)
+    at[pres.edges >= 0] = u.T
+    along = np.zeros((n, n, len(u)), dtype=np.int64)  # 0 at the identity, element 0
+    along[1:] = at[mul[:, pres.parent[1:]].T, pres.via[1:, None]]
+    f = pres.path_sums(along) % p
+    rows = f.transpose(2, 1, 0).reshape(len(u), n * n)[:, ::-1]
+    red, pivots = rref_blocks(_spanning_rows(group, rows), n * n, p)
+    return np.ascontiguousarray(red[::-1, ::-1])
+
+
+def _loop_equations(group: FiniteGroup, pres: Presentation) -> Iterator[np.ndarray]:
+    """The rows P(x, g) + u(xg, s) - P(x, gs) - u(g, s) of `_cocycles` over
+    the off-tree edges (g, s), one x in S at a time, in blocks of at most
+    BLOCK_ROWS rows; column `edge_count` collects the tree edges and is
+    dropped."""
+    n, mul, m = group.order, group.mul, pres.edge_count
+    edges = np.where(pres.edges >= 0, pres.edges, m)
+    g, s = np.nonzero(pres.edges >= 0)
+    gs, rows = mul[g, pres.gens[s]], np.arange(len(g))
+    for x in pres.gens:
+        # P(x, .): one unit vector per tree edge of the path from x, summed
+        along = np.zeros((n, m + 1), dtype=np.int64)
+        along[np.arange(n), edges[mul[x, pres.parent], pres.via]] = 1
+        along[group.identity] = 0
+        path = pres.path_sums(along)
+        eq = path[g] - path[gs]
+        eq[rows, edges[mul[x, g], s]] += 1
+        eq[rows, pres.edges[g, s]] -= 1
+        for lo in range(0, len(g), BLOCK_ROWS):
+            yield eq[lo : lo + BLOCK_ROWS, :m]
+
+
+def _spanning_rows(group: FiniteGroup, f: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows f, then the columns of d^1 (not reduced mod p), all with
+    their entries reversed, in blocks of about BLOCK_ROWS rows, the first
+    of them with f: d^1 has |G|^3 entries and is never stacked.  Column x
+    is (d e_x)(g, h) = [g = x] + [h = x] - [gh = x]."""
+    n, mul = group.order, group.mul
+    cuts = [0, *range(max(1, BLOCK_ROWS - len(f)), n, BLOCK_ROWS), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        d = np.zeros((hi - lo, n, n), dtype=np.int8)
+        at = np.arange(hi - lo)
+        d[at, at + lo] += 1
+        d[at, :, at + lo] += 1
+        g, h = np.nonzero((mul >= lo) & (mul < hi))
+        d[mul[g, h] - lo, g, h] -= 1
+        d = d.reshape(hi - lo, n * n)[:, ::-1]
+        yield np.concatenate([f, d]) if lo == 0 else d
 
 
 def _check_cocycles(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> None:
@@ -207,7 +282,7 @@ def _check_cocycles(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> N
     once, in blocks of first arguments that keep each array near 2^21
     entries."""
     n, e = group.order, group.identity
-    gens = _generators(group)
+    gens = group.presentation().gens
     # residues are below MAX_PRIME < 2^16, so d of them fits int32
     c = np.ascontiguousarray(z.T, dtype=np.int32).reshape((n,) * degree + (len(z),))
     at_e = c[e] if degree == 1 else c[:, e] - c[e, e]
@@ -290,6 +365,7 @@ class CohomologyRing:
     def d1_solver(self) -> Solver:
         """Solver for d c = (given 2-cochain), c of degree 1."""
         if self._d1_solver is None:
+            _check_size(self.group, 2)
             self._d1_solver = Solver(coboundary_matrix(self.group, self.p, 1), self.p)
         return self._d1_solver
 
@@ -297,6 +373,7 @@ class CohomologyRing:
         if degree not in self._basis:
             if degree not in (1, 2):
                 raise ValueError("cohomology computed in degrees 1 and 2 only")
+            _check_size(self.group, degree)
             self._basis[degree] = self._compute(degree)
         return self._basis[degree]
 

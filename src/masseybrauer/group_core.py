@@ -1,5 +1,6 @@
-"""Finite groups as multiplication tables, subgroups, characters, and the
-mod-p elementary abelian quotient G/G^p[G,G].
+"""Finite groups as multiplication tables, subgroups, characters, the
+mod-p elementary abelian quotient G/G^p[G,G], and the presentation read
+from a BFS tree of the Cayley graph (`Presentation`).
 
 Element indices are the identity of elements; every map between groups is an
 index table.  Tables are built and checked with whole-array operations.  Every
@@ -132,6 +133,10 @@ class FiniteGroup:
             have[subgroup_closure(self, gens)] = True
         return tuple(gens)
 
+    def presentation(self) -> "Presentation":
+        """The BFS tree of the Cayley graph and its off-tree edges (memoized)."""
+        return self.cached("presentation", lambda: Presentation(self))
+
     def __repr__(self):
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
@@ -152,6 +157,56 @@ def bfs_tree(group: FiniteGroup, seeds: Sequence[int]) -> list[tuple]:
         frontier = levels[-1][0]
         seen[frontier] = True
     return levels[:-1]  # the last level is empty
+
+
+class Presentation:
+    """The Cayley graph of a group by S, its generating set without e and
+    repeats (in `generating_set()` order), split into a BFS tree and the
+    edges off it.
+
+    Every g != e is first reached as parent[g] s_via[g] (`bfs_tree` from the
+    identity), so each s in S is a child of e via itself.  steps[g] is
+    s_via[g] as a unit vector (0 at e), and words[g, j] counts s_j in the
+    tree word of g.  edges[v, j] numbers the off-tree edges (v, s_j), row
+    by row, and is -1 on the tree: the relation module of the free group
+    on S is freely generated by one loop per off-tree edge (Schreier).
+    `first[j]` is the index of s_j in `generating_set()`.  For S empty (the
+    trivial group) every array but parent and via has no columns.  No
+    array is |G| x |G|."""
+
+    def __init__(self, group: FiniteGroup):
+        e, n = group.identity, group.order
+        listed = group.generating_set()
+        self.first = np.array(
+            [k for k, s in enumerate(listed) if s != e and s not in listed[:k]], dtype=np.int64
+        )
+        self.gens = np.asarray(listed, dtype=np.int64)[self.first]
+        ns = len(self.gens)
+        self.parent = np.zeros(n, dtype=np.int64)
+        self.via = np.zeros(n, dtype=np.int64)
+        for kids, parents, via in bfs_tree(group, self.gens):
+            self.parent[kids], self.via[kids] = parents, via
+        # jumps[k][g]: the 2^k-th ancestor of g, the identity past the root
+        self.jumps, up = [], self.parent
+        while up.any():
+            self.jumps.append(up)
+            up = up[up]
+        self.steps = np.zeros((n, ns), dtype=np.int64)
+        kids = np.flatnonzero(np.arange(n) != e)
+        self.steps[kids, self.via[kids]] = 1
+        self.words = self.path_sums(self.steps)
+        off = np.ones((n, ns), dtype=bool)
+        off[self.parent[kids], self.via[kids]] = False
+        self.edges = np.full((n, ns), -1, dtype=np.int64)
+        self.edge_count = int(off.sum())
+        self.edges[off] = np.arange(self.edge_count)
+
+    def path_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sums of values[h] over the path h != e from the identity to each
+        g (axis 0), in log2(depth) doubling steps; values[e] must be 0."""
+        for up in self.jumps:
+            values = values + values[up]
+        return values
 
 
 def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> list[int]:

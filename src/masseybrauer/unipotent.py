@@ -31,7 +31,7 @@ import numpy as np
 from ._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from .cochain_dga import Cochain
 from .fp_linalg import Solver, is_prime, null_space_rows, row_space_basis
-from .group_core import Character, FiniteGroup, _check_order, bfs_tree
+from .group_core import Character, FiniteGroup, _check_order
 
 MAX_DIM = 5
 MAX_P = 5
@@ -195,8 +195,9 @@ def gamma_from_system(
 
 class Relators:
     """The relations of a map defined along the BFS tree of the Cayley graph
-    (`bfs_tree` from the identity by the generating set), for one group and
-    modulus.
+    (`FiniteGroup.presentation`), for one group and modulus, with unknowns
+    and relations by `generating_set()` index: a repeated generator counts
+    at its first index, and e and the later copies only in the relations.
 
     Every g != e is reached as parent[g] s_via[g].  An entry of rho(g) is a
     sum over the tree edges of the path to g, so its coefficient on that
@@ -212,25 +213,19 @@ class Relators:
     array is |G| x |G|."""
 
     def __init__(self, group: FiniteGroup, p: int):
-        gens = group.generating_set()
-        self.parent = np.zeros(group.order, dtype=np.int64)
-        self.via = np.zeros(group.order, dtype=np.int64)
-        for kids, parents, via in bfs_tree(group, gens):
-            self.parent[kids], self.via[kids] = parents, via
-        # jumps[k][g]: the 2^k-th ancestor of g, the identity past the root
-        self.jumps, up = [], self.parent
-        while up.any():
-            self.jumps.append(up)
-            up = up[up]
-        self.gens = np.asarray(gens, dtype=np.int64)
-        self.ends = group.mul[:, gens]
-        eye = np.eye(len(gens), dtype=np.int64)
-        edge = eye[self.via]
-        edge[group.identity] = 0
-        self.paths = self.path_sums(edge) % p
+        pres = group.presentation()
+        self.gens = np.asarray(group.generating_set(), dtype=np.int64)
+        n, ns = group.order, len(self.gens)
+        self.parent, self.path_sums = pres.parent, pres.path_sums
+        self.via = pres.first[pres.via[1:]]  # of the elements 1, 2, ...; 0 is e
+        self.ends = group.mul[:, self.gens]
+        eye = np.eye(ns, dtype=np.int64)
+        edge = np.zeros((n, ns), dtype=np.int64)
+        edge[:, pres.first] = pres.steps
+        self.paths = np.zeros((n, ns), dtype=np.int64)
+        self.paths[:, pres.first] = pres.words % p
         self.pairs = self.path_sums(self.paths[self.parent, :, None] * edge[:, None]) % p
-        matrix = self.paths[self.ends] - self.paths[:, None] - eye
-        matrix = matrix.reshape(-1, len(gens)) % p
+        matrix = (self.paths[self.ends] - self.paths[:, None] - eye).reshape(n * ns, ns) % p
         self.p, self.solver = p, Solver(matrix, p)
         red, pivots = rref(matrix, p)
         self.reduced = red[: len(pivots)]
@@ -242,39 +237,32 @@ class Relators:
         # so the RREF rows of the residues of the M_kl decide it:
         # checks @ (a (x) b) = 0.  Their number is the rank of the cup
         # products on generator values.
-        ns, every = len(gens), np.arange(group.order)
+        every = np.arange(n)
 
         def cup(at: np.ndarray, ks: np.ndarray) -> np.ndarray:
-            # M_kl(g, s) for g in `at` and k in `ks`, axes (g, s, k, l)
-            return (
+            # M_kl(g, s) for g in `at` and k in `ks`, rows (g, s), columns (k, l)
+            m = (
                 self.pairs[at[:, None], ks][:, None]
                 - self.pairs[self.ends[at][:, :, None], ks]
                 + self.paths[at[:, None], ks][:, None, :, None] * eye[:, None, :]
             )
+            return m.reshape(len(at) * ns, len(ks) * ns)
 
-        # R x = M_kl for every k (rows (g, s), columns l), then the residues
-        # (columns (k, l)) reduced in blocks of g, never stacked
-        solved = np.concatenate(
-            [self.solver.solve_many(cup(every, [k]).reshape(-1, ns) % p)[0] for k in range(ns)], axis=1
-        )
-        step = max(1, BLOCK_ROWS // ns)
+        # R x = M_kl for every k (columns l), then the residues reduced in
+        # blocks of g, never stacked
+        solved = np.zeros((ns, ns * ns), dtype=np.int64)
+        for k in range(ns):
+            solved[:, k * ns : (k + 1) * ns] = self.solver.solve_many(cup(every, [k]) % p)[0]
+        step = max(1, BLOCK_ROWS // max(ns, 1))
         red, _ = rref_blocks(
             (
-                cup(every[lo : lo + step], np.arange(ns)).reshape(-1, ns * ns)
-                - _dot(matrix[lo * ns : (lo + step) * ns], solved)
-                for lo in range(0, group.order, step)
+                cup(every[lo : lo + step], np.arange(ns)) - _dot(matrix[lo * ns : (lo + step) * ns], solved)
+                for lo in range(0, n, step)
             ),
             ns * ns,
             p,
         )
         self.checks = red
-
-    def path_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sums of values[h] over the path h != e from the identity to each
-        g (axis 0), in log2(depth) doubling steps; values[e] must be 0."""
-        for up in self.jumps:
-            values = values + values[up]
-        return values
 
     def distance_two(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F and the constants of the distance-2 relations R x_i = c_i, for
@@ -298,8 +286,8 @@ class Relators:
         step = gen[d][None]
         for t in range(1, d):
             step = step + _times(forms[t][:, None, :npos], gen[d - t][None, :, t : t + npos])
-        along = step[self.parent, self.via]
-        along[0] = 0  # the identity
+        along = np.zeros((len(self.parent),) + step.shape[2:], dtype=np.int64)
+        along[1:] = step[self.parent[1:], self.via]  # 0 at the identity
         own = self.path_sums(along) % self.p
         return own, (own[self.ends] - own[:, None] - step) % self.p
 

@@ -17,7 +17,10 @@ formula, independently of the library's one batched differential.
 `cohomology_by_full_stream` builds an H^degree basis from all of d^degree,
 with an [A | I] `TransformSolver` for coordinates, and
 `cocycles_by_generator_rows` reduces Z^degree from the rows of d^degree whose
-last argument is e or a generator.  `check_cocycles_by_all_tuples` applies d
+last argument is e or a generator.  `cocycles_by_bfs_system` solves for it
+from every value written through the values at the generators along a BFS
+tree (in degree 2, |G|^2 |S| dense equations instead of the presentation's
+loops).  `check_cocycles_by_all_tuples` applies d
 to a cocycle basis on every argument tuple, and `coordinates_by_cocycle_solver`
 reads class coordinates from one `Solver` on the |G|^degree-row matrix
 [d^(degree-1) | Z^T].  `cup_span_by_cochains` spans chi u H^1
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from masseybrauer._kernels import BLOCK_ROWS, rref, rref_blocks
+from masseybrauer._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
 from masseybrauer.cochain_dga import CohomologyRing, _cocycles, _delta, get_ring, restrict
 from masseybrauer.fp_linalg import Solver, null_space_rows, row_space_basis
@@ -738,6 +741,50 @@ def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.nd
         p,
     )
     return null_space_rows(red, pivots, p)
+
+
+def cocycles_by_bfs_system(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
+    """Z^degree (null_space_rows of the RREF of d^degree) solved for from
+    the values at last arguments s in S, the generators other than e in
+    index order, and a dense map T of every value through them.
+
+    A BFS tree of the Cayley graph writes every value of f = T u through
+    the unknowns u: f(hs) = f(h) + f(s) with f(e) = 0 in degree 1, and
+    f(g, hs) = f(g, h) + f(gh, s) - f(h, s) with f(., e) = f(e, e) in
+    degree 2, so df(.., e) = 0.  d(df) = 0 writes df(.., ks) through
+    df(.., k) and df(.., s), so f is a cocycle iff df(.., s) = 0 for each s
+    in S.  With K the kernel of these equations, the rows of K T^T span Z.
+    The basis above is the one that is the identity on the lexicographically
+    last independent columns: the RREF with the columns reversed.
+    """
+    n, e, mul = group.order, group.identity, group.mul
+    gens = np.array(sorted(set(group.generating_set()) - {e}), dtype=np.int64)
+    ns = len(gens)
+    if degree == 1:
+        t = np.zeros((n, ns), dtype=np.int64)  # t[k] = f(k) in the unknowns f(s)
+        for k, h, j in bfs_tree(group, gens):
+            t[k] = t[h]
+            t[k, j] += 1
+    else:
+        # t[g, k] = f(g, k) in the unknowns f(g, s) (column g |S| + j) and f(e, e)
+        t = np.zeros((n, n, n * ns + 1), dtype=np.int64)
+        t[:, e, -1] = 1
+        g = np.arange(n)[:, None]
+        for k, h, j in bfs_tree(group, gens):
+            t[:, k] = t[:, h]
+            t[g, k, mul[g, h] * ns + j] += 1
+            t[g, k, h * ns + j] -= 1
+    m = t.shape[-1]
+    t %= p
+    per_first = n ** (degree - 1) * ns  # equations per first argument
+    step = max(1, BLOCK_ROWS // max(per_first, 1))
+    firsts = [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    red, pivots = rref_blocks(
+        (_delta(t, mul, degree, f, gens).reshape(len(f) * per_first, m) for f in firsts), m, p
+    )
+    span = _dot(null_space_rows(red, pivots, p), t.reshape(n**degree, m).T) % p
+    red, pivots = rref(span[:, ::-1], p)
+    return np.ascontiguousarray(red[: len(pivots)][::-1, ::-1])
 
 
 def check_cocycles_by_all_tuples(group: FiniteGroup, p: int, degree: int, z: np.ndarray) -> None:

@@ -380,6 +380,20 @@ class TestOrderBound:
         code, data = run_json(capsys, argv)
         assert code == 1 and "size guard" in data["error"]
 
+    def test_h2_refused_before_allocating(self, capsys, monkeypatch):
+        # order 1024 is admitted, but H^2 would need arrays of 1024^3 = 2^30
+        # entries (8.6 GB each in int64): refused before Z^2 is solved for
+        from masseybrauer import cochain_dga
+
+        def never(*args):
+            raise AssertionError("Z solved for past the size guard")
+
+        monkeypatch.setattr(cochain_dga, "_cocycles", never)
+        argv = ["group", "cohomology", "--group", "cyclic:1024", "--p", "2", "--degree", "2"]
+        code, data = run_json(capsys, argv)
+        assert code == 1 and list(data) == ["error"] and "size guard" in data["error"]
+        assert "1073741824 > 16777216" in data["error"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from oracles import (
     TransformSolver,
     check_cocycles_by_all_tuples,
     coboundary_rows,
+    cocycles_by_bfs_system,
     cocycles_by_generator_rows,
     cohomology_by_full_stream,
     coordinates_by_cocycle_solver,
@@ -341,6 +342,89 @@ class TestCocycleSystem:
         monkeypatch.setattr(cochain_dga, "_cocycles", corrupted)
         with pytest.raises(RuntimeError, match="internal error"):
             CohomologyRing(builtin_group("dihedral:4"), 2).basis(degree)
+
+
+class TestPresentationSystem:
+    """Z from the loops of the presentation, byte for byte against the
+    dense BFS-tree system and the generator rows of d, and the bases built
+    on it against the bases built on the BFS-tree system."""
+
+    @pytest.mark.parametrize(
+        "name,p",
+        FULL_STREAM_CASES + [("elab:2:5", 2), ("dihedral:16", 2), ("elab:2:6", 2), ("dihedral:64", 2)],
+    )
+    def test_identical_to_bfs_system(self, name, p, monkeypatch):
+        g = builtin_group(name)
+        rng = np.random.default_rng(g.order * p + 2)
+        ring = CohomologyRing(g, p)
+        for degree in (1, 2):
+            z = cochain_dga._cocycles(g, p, degree)
+            olds = [cocycles_by_bfs_system]
+            if g.order <= 27:  # the generator rows of d: |G|^degree (|S| + 1) rows
+                olds.append(cocycles_by_generator_rows)
+            for old in olds:
+                want = old(g, p, degree)
+                assert z.tobytes() == want.tobytes() and z.shape == want.shape
+            ring.basis(degree)
+        monkeypatch.setattr(cochain_dga, "_cocycles", cocycles_by_bfs_system)
+        old_ring = CohomologyRing(g, p)
+        for degree in (1, 2):
+            basis, want = ring.basis(degree), old_ring.basis(degree)
+            got_reps = np.array([c.flat() for c in basis.representatives], dtype=np.int64)
+            want_reps = np.array([c.flat() for c in want.representatives], dtype=np.int64)
+            assert got_reps.tobytes() == want_reps.tobytes() and got_reps.shape == want_reps.shape
+            z = cocycles_by_bfs_system(g, p, degree)
+            cocycles = (rng.integers(0, p, (len(z), 8)).T @ z % p).T
+            assert basis.coordinates_batch(cocycles).tobytes() == want.coordinates_batch(cocycles).tobytes()
+
+    def test_one_presentation_per_group(self, monkeypatch):
+        # degree 1, degree 2 and the relator matrix read one BFS tree
+        from masseybrauer import group_core
+        from masseybrauer.unipotent import Relators
+
+        built = []
+        real = group_core.Presentation.__init__
+
+        def counted(self, group):
+            built.append(group)
+            real(self, group)
+
+        monkeypatch.setattr(group_core.Presentation, "__init__", counted)
+        g = FiniteGroup(builtin_group("dihedral:8").mul)  # nothing memoized yet
+        ring = CohomologyRing(g, 2)
+        ring.basis(1), ring.basis(2)
+        rel = Relators(g, 2)
+        assert built == [g] and rel.parent is g.presentation().parent
+
+    def test_trivial_group(self):
+        # S is empty: no off-tree edges, Z^2 = B^2 = F_p, H^1 = H^2 = 0
+        g = FiniteGroup(np.zeros((1, 1), dtype=np.int64))
+        pres = g.presentation()
+        assert pres.gens.shape == (0,) and pres.edge_count == 0
+        ring = CohomologyRing(g, 3)
+        assert ring.basis(1).dim == 0 and ring.basis(2).dim == 0
+        assert cochain_dga._cocycles(g, 3, 2).tolist() == [[1]]
+        assert ring.basis(2).coordinates(Cochain(g, 3, 2, np.ones((1, 1)))).shape == (0,)
+
+
+class TestSizeBound:
+    def test_h2_refused_before_allocating(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("Z solved for past the size guard")
+
+        g = cyclic_group(512)  # H^2 would need 2^27 entries per array
+        ring = CohomologyRing(g, 2)
+        assert ring.basis(1).dim == 1  # |G|^2 entries: admitted
+        monkeypatch.setattr(cochain_dga, "_cocycles", never)
+        for build in (lambda: ring.basis(2), ring.d1_solver):
+            with pytest.raises(ValueError, match="size guard"):
+                build()
+
+    def test_order_256_admitted(self):
+        assert 256**3 == cochain_dga.MAX_CELLS
+        cochain_dga._check_size(cyclic_group(256), 2)
+        with pytest.raises(ValueError, match="size guard"):
+            cochain_dga._check_size(cyclic_group(257), 2)
 
 
 def _corruptions(g, degree):

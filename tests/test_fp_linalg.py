@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masseybrauer._kernels import BLOCK_ROWS, MAX_COLS, rref, rref_blocks
+from masseybrauer._kernels import BLOCK_ROWS, MAX_COLS, PANEL, _eliminate, rref, rref_blocks
 from masseybrauer.fp_linalg import (
     MAX_PRIME,
     FpMatrix,
@@ -241,8 +241,44 @@ def _multi_block_cases(p):
     yield np.zeros((2 * BLOCK_ROWS + 1, 20), dtype=np.int64)
 
 
+def _wide_cases(p):
+    """Matrices more than two panels wide (129 to 700 columns, 1 to 128
+    rows): full rank, rank-deficient with zero rows, a first panel without a
+    pivot, a first panel whose pivots use up the rows, and a single row."""
+    rng = np.random.default_rng(p + 7)
+    yield rng.integers(0, p, size=(40, 2 * PANEL + 1))
+    low = (rng.integers(0, p, size=(BLOCK_ROWS, 9)) @ rng.integers(0, p, size=(9, 700))) % p
+    low[rng.choice(BLOCK_ROWS, 30, replace=False)] = 0
+    yield low
+    late = rng.integers(0, p, size=(30, 400))
+    late[:, : PANEL + 10] = 0
+    yield late
+    yield rng.integers(0, p, size=(20, 500))  # 20 pivots in the first panel
+    spread = np.zeros((12, 300), dtype=np.int64)  # one pivot per panel
+    spread[np.arange(12), PANEL * (np.arange(12) % 4) + np.arange(12)] = 1
+    spread[:, 290:] = rng.integers(0, p, size=(12, 10))
+    yield spread
+    yield rng.integers(0, p, size=(1, 2 * PANEL + 1))
+    yield np.zeros((5, 300), dtype=np.int64)
+
+
 class TestRrefKernels:
     """The blocked kernel against the one-pivot-at-a-time oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+    def test_panels_match_loops(self, p):
+        for a in _wide_cases(p):
+            want_red, want_pivots = rref_by_loops(a, p)
+            work = a.copy()
+            assert np.array_equal(_eliminate(work, p), want_pivots)
+            assert np.array_equal(work, want_red)
+            red, pivots = rref(a, p)
+            assert np.array_equal(pivots, want_pivots) and np.array_equal(red, want_red)
+            for rows in (1, 7, BLOCK_ROWS):
+                blocks = (a[lo : lo + rows] for lo in range(0, len(a), rows))
+                got, piv = rref_blocks(blocks, a.shape[1], p)
+                assert np.array_equal(piv, want_pivots)
+                assert np.array_equal(got, want_red[: len(piv)])
 
     @given(matrix_and_vector(), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)

@@ -192,6 +192,18 @@ class TestFindPrescribedHom:
             find_prescribed_hom(g, [chi] * n, n)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bar", [False, True])
+    def test_trivial_group(self, n, bar):
+        # no generators: the only map is the trivial homomorphism
+        g = FiniteGroup(np.zeros((1, 1), dtype=np.int64))
+        chi = Character(g, 2, np.zeros(1, dtype=np.int64))
+        hom = find_prescribed_hom(g, [chi] * n, n, bar=bar)
+        assert hom is not None and hom.images.tolist() == [hom.target.identity]
+        want = prescribed_hom_by_backtracking(g, [chi] * n, n, bar=bar)
+        assert want is not None and want.images.tolist() == hom.images.tolist()
+
+
 def _all_characters(g, p):
     ring = get_ring(g, p)
     coords = itertools.product(range(p), repeat=ring.basis(1).dim)
