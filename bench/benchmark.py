@@ -4,13 +4,21 @@ certificate check by the number of odd primes of a_1, `find_prescribed_hom`
 by source group and target, cold H^1 + H^2 bases by group, and warm
 vanishing scans by group.
 
-Run as:  python3 bench/benchmark.py [rref] [realize] [decompose] [u-hom] [h2] [scan]
+Run as:  python3 bench/benchmark.py [rref] [rref-small] [realize] [decompose] [u-hom] [h2] [scan]
 (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
 (the shapes H^2 reduces, here built whole) and random dense matrices, full
 rank and rank-deficient.  Each line gives the shape, the modulus, the rank
 and the time.
+
+The rref-small cases are seeded random matrices of the shapes the
+`massey-scan` benchmark reduces most often (8x10, 3x10 and 12x10 at p = 2,
+10x7 and 10x15 at p = 3), each reduced by `rref`, and one [panel | E]
+block of a wide elimination: a 128 x 64 panel beside the 128 x 128
+identity, reduced by the per-pivot loop on its first 64 columns.  Each
+line gives the case, the shape, the modulus, the rank and the time per
+call in microseconds, the best of five rounds of many calls.
 
 The realize cases take a = +-(a product of k consecutive odd primes) for
 k = 6, 9, 12, 14 and two targets each: the first two primes of a, which
@@ -71,7 +79,7 @@ import time
 
 import numpy as np
 
-from masseybrauer._kernels import rref
+from masseybrauer._kernels import BLOCK_ROWS, PANEL, _pivot_loop, rref
 from masseybrauer.brauer_q import HALF, BrauerClass2, FactorBoundExceeded, Place, factorize
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix, get_ring
@@ -128,6 +136,23 @@ def bench_rref() -> None:
         t = _time(lambda: rref(mat, p))
         shape = "x".join(map(str, mat.shape))
         print(f"{label:22s} {shape:>12s} {p:6d} {len(pivots):5d} {t:9.4f}")
+
+
+def bench_rref_small() -> None:
+    rng = np.random.default_rng(5)
+    print(f"{'case':22s} {'shape':>12s} {'p':>6s} {'rank':>5s} {'us_per_call':>12s}")
+    for rows, cols, p in [(8, 10, 2), (3, 10, 2), (12, 10, 2), (10, 7, 3), (10, 15, 3)]:
+        mats = [rng.integers(0, p, size=(rows, cols)) for _ in range(200)]
+        rank = np.mean([len(rref(m, p)[1]) for m in mats])
+        t = _time(lambda: [rref(m, p) for m in mats], repeats=5) / len(mats)
+        print(f"{'massey-scan shape':22s} {f'{rows}x{cols}':>12s} {p:6d} {rank:5.1f} {1e6 * t:12.1f}")
+    rows, width, p = BLOCK_ROWS, PANEL, 2
+    eye = np.eye(rows, dtype=np.int64)
+    blocks = [np.concatenate([rng.integers(0, p, size=(rows, width)), eye], axis=1) for _ in range(5)]
+    rank = np.mean([_pivot_loop(b.copy(), p, width)[1] for b in blocks])
+    t = _time(lambda: [_pivot_loop(b.copy(), p, width) for b in blocks], repeats=5) / len(blocks)
+    shape = f"{rows}x{width + rows}"
+    print(f"{'[panel | E] block':22s} {shape:>12s} {p:6d} {rank:5.1f} {1e6 * t:12.1f}")
 
 
 def bench_realize() -> None:
@@ -276,8 +301,8 @@ def bench_scan() -> None:
 
 def main(sections: list[str]) -> None:
     benches = {
-        "rref": bench_rref, "realize": bench_realize, "decompose": bench_decompose,
-        "u-hom": bench_u_hom, "h2": bench_h2, "scan": bench_scan,
+        "rref": bench_rref, "rref-small": bench_rref_small, "realize": bench_realize,
+        "decompose": bench_decompose, "u-hom": bench_u_hom, "h2": bench_h2, "scan": bench_scan,
     }
     for name in sections or list(benches):
         benches[name]()

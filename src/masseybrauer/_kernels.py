@@ -42,28 +42,40 @@ def _modinv(a: int, p: int) -> int:
 
 
 def _pivot_loop(a: np.ndarray, p: int, cols: int, r: int = 0) -> tuple[list[int], int]:
-    """In-place RREF of the columns 0..cols-1 of residues mod p, one pivot at
-    a time, with the pivot rows taken from row r on (rows above r hold the
-    pivots of columns further left); every row operation acts on all of a.
-    Returns the pivot columns and the next pivot row."""
+    """In-place RREF of the columns 0..cols-1 of a, one pivot at a time, with
+    the pivot rows taken from row r on (rows above r hold the pivots of
+    columns further left); every row operation acts on all of a.  Returns
+    the pivot columns and the next pivot row.
+
+    a must hold residues 0..p-1: a nonzero entry is a nonzero residue, and a
+    pivot equal to 1 needs no scaling.  The columns zero from row r down are
+    found once, at entry, and never visited: no operation makes them nonzero
+    there, since a swap acts on rows at or below r and each pivot row added
+    is zero in them."""
     rows = a.shape[0]
     pivots = []
-    for c in range(cols):
+    for c in a[r:, :cols].any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = (a[r] * _modinv(a[r, c], p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            # row r is zero left of c
-            a[mask, c:] = (a[mask, c:] - np.outer(col[mask], a[r, c:])) % p
+            a[r], a[k] = a[k], a[r].copy()
+        # row r is zero left of c, so whole rows can be updated
+        piv = a[r]
+        if piv[c] != 1:
+            piv *= _modinv(piv[c], p)
+            piv %= p
+        piv[c] = 0  # hidden from the scan for the rows to clear
+        clear = a[:, c].nonzero()[0]
+        piv[c] = 1
+        if clear.size:
+            sub = a.take(clear, axis=0)
+            sub -= sub[:, c, None] * piv
+            sub %= p
+            a[clear] = sub
         pivots.append(c)
         r += 1
     return pivots, r

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kernels import rref
 from .cochain_dga import get_ring
-from .fp_linalg import in_row_space, null_space_rows, row_space_basis
+from .fp_linalg import null_space_rows
 from .group_core import Character, FiniteGroup, Subgroup, kernel_of_characters
 
 
@@ -44,7 +44,12 @@ def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
 
     The matrix of res has one column per G-representative: its values on
     K x K, gathered from all representatives at once and solved for
-    H^2(K) coordinates in one batch."""
+    H^2(K) coordinates in one batch.  Its null space is read off one RREF
+    of it with the columns reversed: there the null-space row of a free
+    column f is 1 at f, 0 at the other free columns and 0 right of f, so
+    with its columns reversed it leads with 1 at dim - 1 - f and is 0 at
+    the other rows' leads; in reverse row order these rows are the RREF of
+    the kernel."""
     h2 = get_ring(group, p).basis(2)
     if h2.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -52,7 +57,7 @@ def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
     reps = np.stack([rep.values for rep in h2.representatives])
     res = reps[:, emb[:, None], emb].reshape(h2.dim, -1).T
     coords = get_ring(k, p).basis(2).coordinates_batch(res)
-    return row_space_basis(null_space_rows(*rref(coords, p), p), p)
+    return np.ascontiguousarray(null_space_rows(*rref(coords[:, ::-1], p), p)[::-1, ::-1])
 
 
 @dataclass
@@ -74,11 +79,10 @@ def has_property(
     kernel = res_kernel_h2(group, sub, p)
     if image.dim == kernel.shape[0]:
         return PropertyVerdict(True, image.dim, kernel.shape[0], None)
-    witness = None
-    for row in kernel:
-        if not in_row_space(row, image.basis, p):
-            witness = row
-            break
+    # v is in the span of RREF rows R iff v == v[pivots] @ R
+    pivots = (image.basis != 0).argmax(axis=1)
+    outside = np.flatnonzero(((kernel - kernel[:, pivots] @ image.basis) % p).any(axis=1))
+    witness = kernel[outside[0]] if outside.size else None
     return PropertyVerdict(False, image.dim, kernel.shape[0], witness)
 
 

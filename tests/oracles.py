@@ -75,18 +75,24 @@ def hilbert_oracle(a: int, b: int, place: Place) -> int:
         z unit:  a x^2 + b y^2 = 1
 
     and each is decided modulo q^N by enumerating the free variable against
-    the table of squares mod q^N.  With the entries square-reduced to
-    valuation <= 1, any residue solution has a unit variable whose partial
-    derivative has valuation <= 2 (q = 2) or <= 1 (q odd), so N = 6 resp.
-    N = 4 makes every residue solution Hensel-liftable; the converse
-    direction is scaling a true solution to a primitive one.
+    the table of squares mod q^N.  By Hensel's lemma a residue solution
+    lifts to a q-adic one when f = 0 mod q^(2k+1), k the valuation of the
+    partial derivative in one of its variables.  With the entries
+    square-reduced to valuation <= 1, any residue solution has a variable
+    with k <= 2 (q = 2) or k <= 1 (q odd), so N = 6 resp. N = 3 makes every
+    residue solution liftable; the converse direction is scaling a true
+    solution to a primitive one.  At odd q: in a x^2 + b y^2 = 1 one term
+    is a unit mod q, so its variable and coefficient are units and k = 0;
+    in z^2 - b y^2 = a (and z^2 - a x^2 = b alike) k = 0 in z when z is a
+    unit, and otherwise b y^2 = -a mod q^2, so either a, b and y are units
+    (k = 0 in y) or v(a) = v(b) = 1 with y a unit (k = 1 in y).
     """
     if a == 0 or b == 0:
         raise ValueError("nonzero entries required")
     if not place.finite:
         return 1 if (a > 0 or b > 0) else -1
     q = place.q
-    n = 6 if q == 2 else 4
+    n = 6 if q == 2 else 3
     qn = q**n
     a = _reduce_val(a, q) % qn
     b = _reduce_val(b, q) % qn

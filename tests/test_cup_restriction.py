@@ -122,8 +122,10 @@ class TestHasProperty:
                     assert in_row_space(row, ker, p)
 
     def test_witness_on_failure_is_in_kernel_not_image(self):
-        # scan small groups for any failing verdict and check the witness
-        for name, p in [("cyclic:4", 2), ("dihedral:4", 2), ("quaternion8", 2)]:
+        # scan small groups for any failing verdict and check the witness:
+        # the first kernel row outside the image
+        failures = 0
+        for name, p in [("cyclic:4", 2), ("dihedral:4", 2), ("quaternion8", 2), ("elab:3:3", 3)]:
             g = builtin_group(name)
             chars = get_ring(g, p).h1_characters()
             for k in range(len(chars) + 1):
@@ -133,6 +135,10 @@ class TestHasProperty:
                     ker = res_kernel_h2(g, kernel_of_characters(chars[:k], g), p)
                     assert in_row_space(verdict.witness, ker, p)
                     assert not in_row_space(verdict.witness, img.basis, p)
+                    first = next(row for row in ker if not in_row_space(row, img.basis, p))
+                    assert np.array_equal(verdict.witness, first)
+                    failures += 1
+        assert failures
 
     def test_whole_group_reuses_the_ring(self, rings_built):
         g = elementary_abelian(2, 3)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masseybrauer._kernels import BLOCK_ROWS, MAX_COLS, PANEL, _eliminate, rref, rref_blocks
+from masseybrauer._kernels import (
+    BLOCK_ROWS,
+    MAX_COLS,
+    PANEL,
+    _eliminate,
+    _pivot_loop,
+    rref,
+    rref_blocks,
+)
 from masseybrauer.fp_linalg import (
     MAX_PRIME,
     FpMatrix,
@@ -311,6 +319,77 @@ class TestRrefKernels:
             rref_blocks([], MAX_COLS, 2)
         red, pivots = rref(np.zeros((0, MAX_COLS - 1), dtype=np.int64), 2)
         assert red.shape == (0, MAX_COLS - 1) and len(pivots) == 0
+
+
+def _pivot_loop_cases(p):
+    """Matrices for the per-pivot loop: dense; with columns that are nonzero
+    below every row until the pivots left of them clear them; of low rank,
+    so that later columns die; and with leading entries other than 1 (at
+    p > 2), a zero column, and pivot rows out of order."""
+    rng = np.random.default_rng(p + 11)
+    yield rng.integers(0, p, size=(8, 10))
+    dep = rng.integers(0, p, size=(9, 12))
+    dep[:, 3] = (dep[:, 0] + 2 * dep[:, 1]) % p
+    dep[:, 7:9] = (3 * dep[:, 4:6] + dep[:, 2:4]) % p
+    yield dep
+    yield (rng.integers(0, p, size=(10, 3)) @ rng.integers(0, p, size=(3, 15))) % p
+    lead = np.triu(rng.integers(0, p, size=(6, 9)), 2)
+    diag = np.asarray([1, 2, p - 1, 3, 1, p - 2]) % p
+    lead[np.arange(6), np.arange(1, 7)] = np.where(diag == 0, 1, diag)
+    yield lead[rng.permutation(6)]
+
+
+class TestPivotLoop:
+    """`_pivot_loop` alone against the one-pivot-at-a-time oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+    def test_from_row_r(self, p):
+        # the first call reduces the columns left of j, acting on all of a;
+        # the second starts below its pivots, as a later panel does
+        for a in _pivot_loop_cases(p):
+            want_red, want_pivots = rref_by_loops(a, p)
+            for j in range(a.shape[1] + 1):
+                work = a.copy()
+                left, r = _pivot_loop(work, p, j)
+                right, end = _pivot_loop(work, p, a.shape[1], r)
+                assert left + right == want_pivots.tolist() and end == len(want_pivots)
+                assert np.array_equal(work, want_red)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+    def test_panel_and_row_operations(self, p):
+        for a in _pivot_loop_cases(p):
+            want_red, want_pivots = rref_by_loops(a, p)
+            rows, cols = a.shape
+            panel = np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1)
+            pivots, r = _pivot_loop(panel, p, cols)
+            assert pivots == want_pivots.tolist() and r == len(pivots)
+            assert np.array_equal(panel[:, :cols], want_red)
+            ops = panel[:, cols:].astype(object)
+            assert np.array_equal((ops @ a.astype(object)) % p, want_red)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+    def test_columns_zero_below_r_are_not_scanned(self, p):
+        """The rows above r hold the pivots of the columns left of j and are
+        nonzero in some columns that are zero from row r down; the loop
+        scans as many columns as it does with those rows zeroed."""
+
+        class Counted(np.ndarray):
+            scans = 0
+
+            def nonzero(self):
+                Counted.scans += 1
+                return super().nonzero()
+
+        for a in _pivot_loop_cases(p):
+            for j in range(1, a.shape[1]):
+                work = a.copy()
+                _, r = _pivot_loop(work, p, j)
+                counts = []
+                for top in (work[:r], np.zeros_like(work[:r])):
+                    Counted.scans = 0
+                    _pivot_loop(np.concatenate([top, work[r:]]).view(Counted), p, a.shape[1], r)
+                    counts.append(Counted.scans)
+                assert counts[0] == counts[1]
 
 
 class TestRowSpaces:
