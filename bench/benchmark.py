@@ -4,7 +4,7 @@ certificate check by the number of odd primes of a_1, `find_prescribed_hom`
 by source group and target, cold H^1 + H^2 bases by group, and warm
 vanishing scans by group.
 
-Run as:  python3 bench/benchmark.py [rref] [rref-small] [realize] [decompose] [u-hom] [h2] [scan]
+Run as:  python3 bench/benchmark.py [rref] [rref-small] [realize] [decompose] [u-hom] [h2] [d1] [scan]
 (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
@@ -56,6 +56,14 @@ of order 256, the largest order whose H^2 `cochain_dga.MAX_CELLS` admits.
 Each line gives
 the group, p, dim H^1 and dim H^2, the time of the two bases (the group is
 built before the clock starts) and the peak RSS of that process in MB.
+
+The d1 cases build a fresh `CohomologyRing`, its H^1 basis and its d^1
+solver, and solve d c = phi_a u phi_b for every pair of H^1 basis
+characters in one `solve_many`, in a new interpreter for each group of
+order 16 to 256 (`cyclic:256`, `dihedral:128` and `elab:2:8` the largest).
+Each line gives the group, p, dim H^1, the number of cups and of those
+that are coboundaries, the time from the ring to the solutions (the group
+is built before the clock starts) and the peak RSS of that process in MB.
 
 The scan cases run `scan_vanishing` on `dihedral:16`@2, `unipotent:3:2`@2,
 `elab:3:3`@3 and `elab:2:5`@2.  One untimed call builds the ring, its
@@ -279,6 +287,38 @@ def bench_h2() -> None:
         print(f"{name:16s} {p:2d} {h1:>3s} {h2:>3s} {float(t):9.3f} {float(rss):8.1f}")
 
 
+_D1 = [
+    ("elab:2:4", 2), ("dihedral:16", 2), ("elab:3:3", 3), ("elab:2:6", 2), ("dihedral:64", 2),
+    ("cyclic:128", 2), ("elab:2:8", 2), ("dihedral:128", 2), ("cyclic:256", 2),
+]
+
+# one cold d^1 solver in the child: prints dim H^1, cups, coboundaries,
+# seconds, peak RSS in MB
+_D1_CHILD = """
+import resource, sys, time
+from masseybrauer.catalog import builtin_group
+from masseybrauer.cochain_dga import CohomologyRing
+g, p = builtin_group(sys.argv[1]), int(sys.argv[2])
+n = g.order
+t0 = time.perf_counter()
+ring = CohomologyRing(g, p)
+phis = ring.basis(1).rep_values
+d = len(phis)
+cups = (phis[:, None, :, None] * phis[None, :, None, :]).reshape(d * d, n * n) % p
+_, ok = ring.d1_solver().solve_many(-cups.T)
+t = time.perf_counter() - t0
+print(d, d * d, int(ok.sum()), t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def bench_d1() -> None:
+    print(f"{'group':16s} {'p':>2s} {'h1':>3s} {'cups':>5s} {'cob':>4s} {'seconds':>9s} {'peak_mb':>8s}")
+    for name, p in _D1:
+        argv = [sys.executable, "-c", _D1_CHILD, name, str(p)]
+        h1, cups, cob, t, rss = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+        print(f"{name:16s} {p:2d} {h1:>3s} {cups:>5s} {cob:>4s} {float(t):9.4f} {float(rss):8.1f}")
+
+
 # (group, p, witnesses of the vanishing scan)
 _SCAN = [("dihedral:16", 2, 0), ("unipotent:3:2", 2, 0), ("elab:3:3", 3, 104), ("elab:2:5", 2, 0)]
 
@@ -302,7 +342,8 @@ def bench_scan() -> None:
 def main(sections: list[str]) -> None:
     benches = {
         "rref": bench_rref, "rref-small": bench_rref_small, "realize": bench_realize,
-        "decompose": bench_decompose, "u-hom": bench_u_hom, "h2": bench_h2, "scan": bench_scan,
+        "decompose": bench_decompose, "u-hom": bench_u_hom, "h2": bench_h2, "d1": bench_d1,
+        "scan": bench_scan,
     }
     for name in sections or list(benches):
         benches[name]()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,10 @@ MAX_DEGREE = 3
 
 # The largest H^degree built: a ring's arrays in degree k (Z^k and its
 # float64 copy in the basis; in degree 2 also the columns of d^1 and the
-# rows they are reduced in, and d^1 itself in `d1_solver`) have about
-# |G|^(k+1) entries.  2^24 admits H^2 up to order 256 (134 MB per int64
-# array, under 1 GB in all) and H^1 up to group_core.MAX_ORDER.
+# rows they are reduced in) have about |G|^(k+1) entries.  2^24 admits H^2
+# up to order 256 (134 MB per int64 array, under 1 GB in all) and H^1 up to
+# group_core.MAX_ORDER.  `d1_solver`, whose right-hand sides are
+# 2-cochains, is refused with H^2.
 MAX_CELLS = 1 << 24
 
 
@@ -169,16 +171,113 @@ def _delta(
     return c[h, k] - c[mul[g, h], k] + c[g, mul[h, k]] - c[g, h]
 
 
+class Relators:
+    """The relations of a map defined along the BFS tree of the Cayley graph
+    (`FiniteGroup.presentation`), for one group and modulus, with unknowns
+    and relations by `generating_set()` index: a repeated generator counts
+    at its first index, and e and the later copies only in the relations.
+    Built once per (group, p) by `relators`.
+
+    Every g != e is reached as parent[g] s_via[g].  A map written along the
+    tree through its generator values a is paths a at g, paths[g] counting
+    the generators along the path to g, and the relations
+    c(g s) = c(g) + a_s have the relator matrix
+    R = paths[g s] - paths[g] - e_s (rows by (g, s)).  `solver` eliminates
+    R once; `reduced` is its RREF and `kernel` spans its null space, the
+    generator values of the homomorphisms G -> F_p.  They serve Z^1
+    (`_cocycles`), d^1 solves (`TreeD1Solver`) and the prescribed
+    homomorphisms of `unipotent`, whose matrix entries are such path sums
+    too.
+
+    For those, pairs[g, k, l] counts the edges via s_l of the path to g,
+    each weighted by the s_k in the path to its start, and `checks`, the
+    cup form, has one row per independent condition that the distance-2
+    relations put on the generator values a (x) b of two characters.  Both
+    are built on first use.  No array is |G| x |G|."""
+
+    def __init__(self, group: FiniteGroup, p: int):
+        pres = group.presentation()
+        self.gens = np.asarray(group.generating_set(), dtype=np.int64)
+        n, ns = group.order, len(self.gens)
+        self.p, self.parent, self.path_sums = p, pres.parent, pres.path_sums
+        self.via = pres.first[pres.via[1:]]  # of the elements 1, 2, ...; 0 is e
+        self.ends = group.mul[:, self.gens]
+        self.paths = np.zeros((n, ns), dtype=np.int64)
+        self.paths[:, pres.first] = pres.words % p
+        eye = np.eye(ns, dtype=np.int64)
+        self.matrix = (self.paths[self.ends] - self.paths[:, None] - eye).reshape(n * ns, ns) % p
+        self.solver = Solver(self.matrix, p)
+        self.reduced = self.solver.reduced
+        self.kernel = null_space_rows(self.reduced, self.solver.pivots, p)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        n, ns = self.paths.shape
+        edge = np.zeros((n, ns), dtype=np.int64)
+        edge[np.arange(1, n), self.via] = 1
+        return self.path_sums(self.paths[self.parent, :, None] * edge[:, None]) % self.p
+
+    @cached_property
+    def checks(self) -> np.ndarray:
+        """The constants of `distance_two` are bilinear in the generator
+        values a of chi_i and b of chi_(i+1): c_i = sum_kl a_k b_l M_kl, with
+        M_kl(g, s) = pairs[g, k, l] - pairs[g s, k, l] + paths[g, k] [s = l].
+        c_i is in the column space of R iff its residue after a solve is 0,
+        so the RREF rows of the residues of the M_kl decide it:
+        checks @ (a (x) b) = 0.  Their number is the rank of the cup
+        products on generator values."""
+        (n, ns), p = self.paths.shape, self.p
+        eye, every = np.eye(ns, dtype=np.int64), np.arange(n)
+
+        def cup(at: np.ndarray, ks: np.ndarray) -> np.ndarray:
+            # M_kl(g, s) for g in `at` and k in `ks`, rows (g, s), columns (k, l)
+            m = (
+                self.pairs[at[:, None], ks][:, None]
+                - self.pairs[self.ends[at][:, :, None], ks]
+                + self.paths[at[:, None], ks][:, None, :, None] * eye[:, None, :]
+            )
+            return m.reshape(len(at) * ns, len(ks) * ns)
+
+        # R x = M_kl for every k (columns l), then the residues reduced in
+        # blocks of g, never stacked
+        solved = np.zeros((ns, ns * ns), dtype=np.int64)
+        for k in range(ns):
+            solved[:, k * ns : (k + 1) * ns] = self.solver.solve_many(cup(every, [k]) % p)[0]
+        step = max(1, BLOCK_ROWS // max(ns, 1))
+        red, _ = rref_blocks(
+            (
+                cup(every[lo : lo + step], np.arange(ns)) - _dot(self.matrix[lo * ns : (lo + step) * ns], solved)
+                for lo in range(0, n, step)
+            ),
+            ns * ns,
+            p,
+        )
+        return red
+
+    def distance_two(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and the constants of the distance-2 relations R x_i = c_i, for
+        the character table values[g, i].  F[g, i], the entry (i, i + 2) of
+        rho(g) when x_i = 0, is the path sum of chi_i(parent) chi_(i+1)(via),
+        and c_i(g, s) = F_i(g) + chi_i(g) chi_(i+1)(s) - F_i(g s) (column i)."""
+        at = values[self.gens]
+        f = ((self.pairs @ at[:, 1:]) * at[:, :-1]).sum(axis=1)
+        cross = values[:, None, :-1] * at[None, :, 1:]
+        return f, (f[:, None] + cross - f[self.ends]).reshape(-1, values.shape[1] - 1)
+
+
+def relators(group: FiniteGroup, p: int) -> Relators:
+    """The relator system of (group, p), built once and memoized on the group."""
+    return group.cached(("relators", p), lambda: Relators(group, p))
+
+
 def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
     """Z^degree as null_space_rows(RREF(d^degree)), from the presentation
     of the group (`FiniteGroup.presentation`): the BFS tree of its Cayley
     graph by S, the generators other than e, and the edges off the tree.
 
-    Degree 1: f(hs) = f(h) + f(s) and f(e) = 0 write f = T u through its
-    values u at S (T = words), and f is a cocycle iff df(g, s) = 0 for each
-    g and s in S, as d(df) = 0 writes df(.., ks) through df(.., k) and
-    df(.., s).  With K the kernel of these equations, the rows of K T^T
-    span Z^1.
+    Degree 1: a cocycle is a homomorphism, paths a for its generator values
+    a in the kernel of the relator matrix R (`Relators`), so the rows of
+    kernel paths^T span Z^1.
 
     Degree 2: the unknowns u(v, t) sit on the off-tree edges (v, s_t), u
     is 0 on the tree, and P(x, g) is the sum of u along x times the tree
@@ -198,22 +297,13 @@ def _cocycles(group: FiniteGroup, p: int, degree: int) -> np.ndarray:
     rows with the columns reversed.  It depends only on Z, not on the
     tree.
     """
-    pres = group.presentation()
-    n, mul, gens = group.order, group.mul, pres.gens
-    ns = len(gens)
     if degree == 1:
-        t = pres.words % p
-        step = max(1, BLOCK_ROWS // max(ns, 1))
-        firsts = [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        red, pivots = rref_blocks(
-            (_delta(t, mul, 1, f, gens).reshape(len(f) * ns, ns) for f in firsts),
-            ns,
-            p,
-        )
-        span = _dot(null_space_rows(red, pivots, p), t.T) % p
+        rel = relators(group, p)
+        span = _dot(rel.kernel, rel.paths.T) % p
         red, pivots = rref(span[:, ::-1], p)
         return np.ascontiguousarray(red[: len(pivots)][::-1, ::-1])
-    m = pres.edge_count
+    pres = group.presentation()
+    n, mul, ns, m = group.order, group.mul, len(pres.gens), pres.edge_count
     red, pivots = rref_blocks(_loop_equations(group, pres), m, p)
     u = null_space_rows(red, pivots, p)
     # f_u(g, h) = P(g, h) u: the sum over the tree path to h of u at the
@@ -320,8 +410,9 @@ class CohomologyBasis:
     A cocycle z is therefore sum_i z[L_i] Z_i = Z^T z[L], restriction to L
     is injective on Z, and a cochain is a cocycle iff it equals Z^T z[L]."""
 
+    group: FiniteGroup
     degree: int
-    representatives: list[Cochain]
+    rep_values: np.ndarray  # read-only, one flattened representative per row
     _z_t: np.ndarray  # Z^T as float64, |G|^degree x dim Z
     _lead: np.ndarray  # L
     _to_coords: np.ndarray  # float64, dim H x |L|
@@ -329,7 +420,12 @@ class CohomologyBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.rep_values)
+
+    @cached_property
+    def representatives(self) -> list[Cochain]:
+        shape = (self.group.order,) * self.degree
+        return [Cochain(self.group, self.p, self.degree, v.reshape(shape)) for v in self.rep_values]
 
     def coordinates(self, z: Cochain) -> np.ndarray:
         """Coordinates of [z]; raises if z is not a cocycle."""
@@ -350,6 +446,59 @@ class CohomologyBasis:
         return (self._to_coords @ at).astype(np.int64) % self.p
 
 
+class TreeD1Solver:
+    """Solves d c = f for 1-cochains c, f given as flattened value tables
+    (one per column), along the presentation's tree; d^1 is never built.
+
+    At (e, e) and at (g, s) for s in S, d c = f reads c(e) = f(e, e) and
+    c(g s) = c(g) + a_s - f(g, s), with a_s = c(s) - c(e) + f(e, s).  Along
+    the tree that writes c = paths a + k, with k(e) = f(e, e) and
+    k(g s) = k(g) - f(g, s) on the tree edges, and the edges off it leave
+    R a = k(g) - k(g s) - f(g, s) at every (g, s): one solve on the
+    relator solver (`Relators`).  Subtracting the cocycle Z^T c[L] then
+    gives the one solution that is 0 on the lead columns L of Z^1, which
+    are the free columns of d^1: the solution of Gaussian elimination of
+    d^1 with leftmost pivots and free variables 0.  These equations are
+    d c = f only where f is a cocycle (there f(e, s) = f(e, e)), so a
+    column is ok iff its c passes the exact check d c = f at every (g, h)."""
+
+    def __init__(self, group: FiniteGroup, p: int, rel: Relators, h1: CohomologyBasis):
+        self.mul, self.p, self.rel, self.h1 = group.mul, p, rel, h1
+
+    def solve(self, b: np.ndarray) -> np.ndarray | None:
+        """A solution c of d c = b, or None if there is none."""
+        b = np.asarray(b, dtype=np.int64)
+        if b.shape != (self.mul.size,):
+            raise ValueError("dimension mismatch")
+        x, ok = self.solve_many(b[:, None])
+        return x[:, 0] if ok[0] else None
+
+    def solve_many(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve d c = f for each column f of `b`.  Returns (solutions, ok);
+        columns whose ok flag is False hold no solution."""
+        mul, p, rel, h1 = self.mul, self.p, self.rel, self.h1
+        n = len(mul)
+        if b.shape[0] != n * n:
+            raise ValueError("dimension mismatch")
+        # residues are below MAX_PRIME < 2^16, so d c - f fits int32
+        f = np.ascontiguousarray(np.asarray(b, dtype=np.int64) % p, dtype=np.int32).reshape(n, n, -1)
+        cols = f.shape[2]
+        along = np.zeros((n, cols), dtype=np.int64)  # 0 at the identity, element 0
+        along[1:] = -f[rel.parent[1:], rel.gens[rel.via]]
+        k = rel.path_sums(along) + f[0, 0]
+        a = rel.solver.solve_many((k[:, None] - k[rel.ends] - f[:, rel.gens]).reshape(-1, cols))[0]
+        c = (_dot(rel.paths, a) + k) % p
+        c = (c - (h1._z_t @ c[h1._lead].astype(np.float64)).astype(np.int64)) % p
+        # d c at blocks of first arguments that keep each array near 2^21 entries
+        c32, ok = c.astype(np.int32), np.ones(cols, dtype=bool)
+        every = np.arange(n)
+        step = max(1, (1 << 21) // max(n * cols, 1))
+        for lo in range(0, n, step):
+            dc = _delta(c32, mul, 1, every[lo : lo + step], every)
+            ok &= ~((dc - f[lo : lo + step]) % p).any(axis=(0, 1))
+        return c, ok
+
+
 class CohomologyRing:
     """Cached cohomology data of one (group, p) pair, degrees 1 and 2.
     Each construction builds a fresh ring; `get_ring` memoizes one per group."""
@@ -359,14 +508,14 @@ class CohomologyRing:
         self.group = group
         self.p = p
         self._basis: dict[int, CohomologyBasis] = {}
-        self._d1_solver: Solver | None = None
+        self._d1_solver: TreeD1Solver | None = None
         self._cup_table: np.ndarray | None = None
 
-    def d1_solver(self) -> Solver:
+    def d1_solver(self) -> TreeD1Solver:
         """Solver for d c = (given 2-cochain), c of degree 1."""
         if self._d1_solver is None:
             _check_size(self.group, 2)
-            self._d1_solver = Solver(coboundary_matrix(self.group, self.p, 1), self.p)
+            self._d1_solver = TreeD1Solver(self.group, self.p, relators(self.group, self.p), self.basis(1))
         return self._d1_solver
 
     def basis(self, degree: int) -> CohomologyBasis:
@@ -398,10 +547,10 @@ class CohomologyRing:
             p,
         )
         is_rep = pivots >= nb
-        reps = [Cochain(g, p, degree, v.reshape((n,) * degree)) for v in z[pivots[is_rep] - nb]]
         return CohomologyBasis(
+            g,
             degree,
-            reps,
+            _freeze(z[pivots[is_rep] - nb]),
             np.ascontiguousarray(z.T, dtype=np.float64),
             lead,
             np.ascontiguousarray(red[is_rep, nb:], dtype=np.float64),
@@ -411,16 +560,12 @@ class CohomologyRing:
     # convenience views -----------------------------------------------------
 
     def h1_characters(self) -> list[Character]:
-        return [
-            Character(self.group, self.p, c.values)
-            for c in self.basis(1).representatives
-        ]
+        return [Character(self.group, self.p, v) for v in self.basis(1).rep_values]
 
     def character_from_coords(self, coords: np.ndarray) -> Character:
-        reps = self.basis(1).representatives
         vals = np.zeros(self.group.order, dtype=np.int64)
-        for t, c in zip(coords, reps):
-            vals = (vals + int(t) * c.values) % self.p
+        for t, v in zip(coords, self.basis(1).rep_values):
+            vals = (vals + int(t) * v) % self.p
         return Character(self.group, self.p, vals)
 
     def cup_table(self) -> np.ndarray:
@@ -428,9 +573,8 @@ class CohomologyRing:
         (d x d x dim H^2), from one batched coordinate solve, built once."""
         if self._cup_table is None:
             h2 = self.basis(2)
-            n, d = self.group.order, self.basis(1).dim
-            reps = [c.values for c in self.basis(1).representatives]
-            phis = np.array(reps, dtype=np.int64).reshape(d, n)
+            n, phis = self.group.order, self.basis(1).rep_values
+            d = len(phis)
             # (phi_a u phi_b)(g, h) = phi_a(g) phi_b(h), one flattened table per pair
             flats = (phis[:, None, :, None] * phis[None, :, None, :]).reshape(d * d, n * n) % self.p
             coords = h2.coordinates_batch(flats.T).T.reshape(d, d, h2.dim)

@@ -54,7 +54,7 @@ def res_kernel_h2(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndarray:
     if h2.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
     k, emb = sub.as_group()
-    reps = np.stack([rep.values for rep in h2.representatives])
+    reps = h2.rep_values.reshape(h2.dim, group.order, group.order)
     res = reps[:, emb[:, None], emb].reshape(h2.dim, -1).T
     coords = get_ring(k, p).basis(2).coordinates_batch(res)
     return np.ascontiguousarray(null_space_rows(*rref(coords[:, ::-1], p), p)[::-1, ::-1])
@@ -90,9 +90,8 @@ def property_for_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> Property
     """The subgroup-level property, using the deterministic character list
     dual to G/K (any list with kernel K gives the same verdict)."""
     ring = get_ring(group, p)
-    basis_chars = ring.h1_characters()
-    if basis_chars:
-        vals = np.stack([c.values for c in basis_chars])  # (d, |G|)
+    vals = ring.basis(1).rep_values  # (d, |G|)
+    if len(vals):
         on_members = vals[:, list(sub.members)].T  # (|K|, d)
         coeffs = null_space_rows(*rref(on_members, p), p)
         picked = [ring.character_from_coords(v) for v in coeffs]

@@ -84,18 +84,20 @@ class FpMatrix:
 class Solver:
     """Precomputed elimination of a fixed matrix A for many right-hand sides.
 
-    RREF(A) gives the pivot columns P; RREF([A[:, P]^T | I]) gives rank
-    independent rows R of A[:, P] and the inverse of A[R, P].  A solve is
-    x_P = A[R, P]^-1 b[R] plus one exact check A[:, P] x_P = b.  Free
-    variables are zero, matching plain Gaussian elimination with leftmost
-    pivots; columns whose ok flag is False hold no solution.
+    RREF(A) gives the pivot columns P and its nonzero rows `reduced`;
+    RREF([A[:, P]^T | I]) gives rank independent rows R of A[:, P] and the
+    inverse of A[R, P].  A solve is x_P = A[R, P]^-1 b[R] plus one exact
+    check A[:, P] x_P = b.  Free variables are zero, matching plain
+    Gaussian elimination with leftmost pivots; columns whose ok flag is
+    False hold no solution.
     """
 
     def __init__(self, a: np.ndarray, p: int):
         self.p = _check_prime(p)
         a = np.asarray(a, dtype=np.int64) % p
         self.rows, self.cols = a.shape
-        self.pivots = rref(a, p)[1]
+        red, self.pivots = rref(a, p)
+        self.reduced = red[: len(self.pivots)].copy()
         a_piv = a[:, self.pivots]
         red, self._basis_rows = rref(
             np.concatenate([a_piv.T, np.eye(len(self.pivots), dtype=np.int64)], axis=1), p

@@ -145,17 +145,12 @@ def enumerate_triple_classes(
     ds = find_triple_defining_system(chi1, chi2, chi3)
     if ds is None:
         return None
-    h1 = ring.basis(1)
     h2 = ring.basis(2)
     n = g.order
-    d = h1.dim
     # every valid interior entry = deterministic solution + element of Z^1,
     # and Z^1 = span of the H^1 representatives (B^1 = 0)
-    z1 = (
-        np.stack([c.flat() for c in h1.representatives])
-        if d
-        else np.zeros((0, n), dtype=np.int64)
-    )
+    z1 = ring.basis(1).rep_values
+    d = len(z1)
     coeffs = np.asarray(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
     u12 = (ds.entry(1, 2).flat()[None, :] + coeffs @ z1) % p
     u23 = (ds.entry(2, 3).flat()[None, :] + coeffs @ z1) % p
@@ -223,8 +218,7 @@ def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
     coords = list(itertools.product(range(p), repeat=d))
     m = len(coords)
     x = np.asarray(coords, dtype=np.int64).reshape(m, d)
-    phis = np.array([c.values for c in ring.basis(1).representatives], dtype=np.int64)
-    vals = (x @ phis.reshape(d, n)) % p  # the characters, as `character_from_coords`
+    vals = (x @ ring.basis(1).rep_values) % p  # the characters, as `character_from_coords`
 
     # left[i, b] = coordinates of chi_i u phi_b; chi_i u chi_j = sum_b x_jb left[i, b]
     left = (x @ ring.cup_table().reshape(d, d * dim)).reshape(m, d, dim) % p

@@ -11,10 +11,11 @@ A homomorphism with prescribed superdiagonal characters
 of the generator images.  Extended along a BFS tree of the Cayley graph,
 every entry of rho(g) is a sum over the tree path to g, and the relations
 rho(g s) = rho(g) rho(s) have one relator matrix R as every entry's
-coefficients on its own unknowns (`Relators`, eliminated once per group and
-modulus).  The entries (i, i + 2) need nothing but R and constants from the
+coefficients on its own unknowns (`cochain_dga.Relators`, eliminated once
+per group and modulus; Z^1 and the d^1 solves read the same elimination).
+The entries (i, i + 2) need nothing but R and constants from the
 characters, and those constants are bilinear in the characters' generator
-values; so the cup form `Relators.checks`, built once with R, decides
+values; so the cup form `Relators.checks`, built from R on first use, decides
 chi_i u chi_(i+1) = 0 for every i from the generator values alone, which is
 where most calls end.  The rest of the system is block lower triangular and
 small; one reversed-column RREF of it gives the lexicographically least
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
-from .cochain_dga import Cochain
-from .fp_linalg import Solver, is_prime, null_space_rows, row_space_basis
+from ._kernels import rref
+from .cochain_dga import Cochain, Relators, relators  # Relators re-exported
+from .fp_linalg import is_prime, row_space_basis
 from .group_core import Character, FiniteGroup, _check_order
 
 MAX_DIM = 5
@@ -193,103 +194,22 @@ def gamma_from_system(
     return GammaMap(g, n, p, full_images, bar_images, is_full, is_bar)
 
 
-class Relators:
-    """The relations of a map defined along the BFS tree of the Cayley graph
-    (`FiniteGroup.presentation`), for one group and modulus, with unknowns
-    and relations by `generating_set()` index: a repeated generator counts
-    at its first index, and e and the later copies only in the relations.
+def _entries(rel: Relators, gen: dict, forms: dict, d: int):
+    """The affine forms of the entries (i, i + d) of every rho(g), summed
+    along the tree paths of `rel`, and of their relations at every (g, s).
 
-    Every g != e is reached as parent[g] s_via[g].  An entry of rho(g) is a
-    sum over the tree edges of the path to g, so its coefficient on that
-    entry's own generator values is paths[g], the generators counted along
-    the path, and the relations rho(g s) = rho(g) rho(s) have the relator
-    matrix R = paths[g s] - paths[g] - e_s (rows by (g, s)) as that
-    coefficient.  `solver` eliminates R once; `reduced` is its RREF and
-    `kernel` spans its null space, the characters' values on the
-    generators.  pairs[g, k, l] counts the edges via s_l of the path to g,
-    each weighted by the s_k in the path to its start.  `checks`, the cup
-    form, has one row per independent condition that the distance-2
-    relations put on the generator values a (x) b of two characters.  No
-    array is |G| x |G|."""
-
-    def __init__(self, group: FiniteGroup, p: int):
-        pres = group.presentation()
-        self.gens = np.asarray(group.generating_set(), dtype=np.int64)
-        n, ns = group.order, len(self.gens)
-        self.parent, self.path_sums = pres.parent, pres.path_sums
-        self.via = pres.first[pres.via[1:]]  # of the elements 1, 2, ...; 0 is e
-        self.ends = group.mul[:, self.gens]
-        eye = np.eye(ns, dtype=np.int64)
-        edge = np.zeros((n, ns), dtype=np.int64)
-        edge[:, pres.first] = pres.steps
-        self.paths = np.zeros((n, ns), dtype=np.int64)
-        self.paths[:, pres.first] = pres.words % p
-        self.pairs = self.path_sums(self.paths[self.parent, :, None] * edge[:, None]) % p
-        matrix = (self.paths[self.ends] - self.paths[:, None] - eye).reshape(n * ns, ns) % p
-        self.p, self.solver = p, Solver(matrix, p)
-        red, pivots = rref(matrix, p)
-        self.reduced = red[: len(pivots)]
-        self.kernel = null_space_rows(red, pivots, p)
-        # The constants of `distance_two` are bilinear in the generator values
-        # a of chi_i and b of chi_(i+1): c_i = sum_kl a_k b_l M_kl, with
-        # M_kl(g, s) = pairs[g, k, l] - pairs[g s, k, l] + paths[g, k] [s = l].
-        # c_i is in the column space of R iff its residue after a solve is 0,
-        # so the RREF rows of the residues of the M_kl decide it:
-        # checks @ (a (x) b) = 0.  Their number is the rank of the cup
-        # products on generator values.
-        every = np.arange(n)
-
-        def cup(at: np.ndarray, ks: np.ndarray) -> np.ndarray:
-            # M_kl(g, s) for g in `at` and k in `ks`, rows (g, s), columns (k, l)
-            m = (
-                self.pairs[at[:, None], ks][:, None]
-                - self.pairs[self.ends[at][:, :, None], ks]
-                + self.paths[at[:, None], ks][:, None, :, None] * eye[:, None, :]
-            )
-            return m.reshape(len(at) * ns, len(ks) * ns)
-
-        # R x = M_kl for every k (columns l), then the residues reduced in
-        # blocks of g, never stacked
-        solved = np.zeros((ns, ns * ns), dtype=np.int64)
-        for k in range(ns):
-            solved[:, k * ns : (k + 1) * ns] = self.solver.solve_many(cup(every, [k]) % p)[0]
-        step = max(1, BLOCK_ROWS // max(ns, 1))
-        red, _ = rref_blocks(
-            (
-                cup(every[lo : lo + step], np.arange(ns)) - _dot(matrix[lo * ns : (lo + step) * ns], solved)
-                for lo in range(0, n, step)
-            ),
-            ns * ns,
-            p,
-        )
-        self.checks = red
-
-    def distance_two(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F and the constants of the distance-2 relations R x_i = c_i, for
-        the character table values[g, i].  F[g, i], the entry (i, i + 2) of
-        rho(g) when x_i = 0, is the path sum of chi_i(parent) chi_(i+1)(via),
-        and c_i(g, s) = F_i(g) + chi_i(g) chi_(i+1)(s) - F_i(g s) (column i)."""
-        at = values[self.gens]
-        f = ((self.pairs @ at[:, 1:]) * at[:, :-1]).sum(axis=1)
-        cross = values[:, None, :-1] * at[None, :, 1:]
-        return f, (f[:, None] + cross - f[self.ends]).reshape(-1, values.shape[1] - 1)
-
-    def entries(self, gen: dict, forms: dict, d: int):
-        """The affine forms of the entries (i, i + d) of every rho(g),
-        summed along the tree paths, and of their relations at every (g, s).
-
-        gen[t] and forms[t] hold the forms of the entries (i, i + t) of
-        rho(s_k) (k, i, column) and of rho(g) (g, i, column).  An entry
-        (i, j) of rho(g) rho(s) adds rho(s)_ij and rho(g)_ik rho(s)_kj for
-        i < k < j to rho(g)_ij."""
-        npos = gen[d].shape[1]
-        step = gen[d][None]
-        for t in range(1, d):
-            step = step + _times(forms[t][:, None, :npos], gen[d - t][None, :, t : t + npos])
-        along = np.zeros((len(self.parent),) + step.shape[2:], dtype=np.int64)
-        along[1:] = step[self.parent[1:], self.via]  # 0 at the identity
-        own = self.path_sums(along) % self.p
-        return own, (own[self.ends] - own[:, None] - step) % self.p
+    gen[t] and forms[t] hold the forms of the entries (i, i + t) of
+    rho(s_k) (k, i, column) and of rho(g) (g, i, column).  An entry (i, j)
+    of rho(g) rho(s) adds rho(s)_ij and rho(g)_ik rho(s)_kj for i < k < j
+    to rho(g)_ij."""
+    npos = gen[d].shape[1]
+    step = gen[d][None]
+    for t in range(1, d):
+        step = step + _times(forms[t][:, None, :npos], gen[d - t][None, :, t : t + npos])
+    along = np.zeros((len(rel.parent),) + step.shape[2:], dtype=np.int64)
+    along[1:] = step[rel.parent[1:], rel.via]  # 0 at the identity
+    own = rel.path_sums(along) % rel.p
+    return own, (own[rel.ends] - own[:, None] - step) % rel.p
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,11 +227,14 @@ def _least(rows: list[np.ndarray], p: int) -> np.ndarray | None:
     order: with every free unknown 0, each coordinate in turn is as small
     as the earlier ones allow."""
     a = np.concatenate(rows)
-    red, pivots = rref(a[a.any(axis=1)], p)
-    if len(pivots) and pivots[-1] == a.shape[1] - 1:
-        return None
+    a = a[a.any(axis=1)]
     x = np.zeros(a.shape[1], dtype=np.int64)
-    x[pivots], x[-1] = -red[: len(pivots), -1] % p, 1
+    x[-1] = 1
+    if len(a):  # else every x solves, and no elimination is needed
+        red, pivots = rref(a, p)
+        if pivots[-1] == a.shape[1] - 1:
+            return None
+        x[pivots] = -red[: len(pivots), -1] % p
     return x
 
 
@@ -351,7 +274,7 @@ def find_prescribed_hom(
     if any(c.group is not group or c.p != p for c in chars):
         raise ValueError("characters on the wrong group or modulus")
     target = build_unipotent(n, p, bar)
-    rel = group.cached(("relators", p), lambda: Relators(group, p))
+    rel = relators(group, p)
     values = np.array([c.values for c in chars]).T
     last = n - 1 if bar else n  # the bar quotient drops the corner (0, n)
     if last >= 2:
@@ -390,7 +313,7 @@ def find_prescribed_hom(
         block[..., -1] = -rel.reduced @ x2
         rows.append(block.reshape(-1, width))
     if last >= 3:
-        forms[3], relations = rel.entries(gen, forms, 3)
+        forms[3], relations = _entries(rel, gen, forms, 3)
         rows.append(relations.reshape(-1, width))
     if last < 4:
         x = _least(rows, p)
@@ -400,7 +323,7 @@ def find_prescribed_hom(
         for fix in (x2[:, 0] + shifts @ rel.kernel) % p:
             fixed = {**forms, 2: forms[2].copy()}  # rho(g)_02 a constant
             fixed[2][:, 0, cols], fixed[2][:, 0, -1] = 0, rel.paths @ fix + at_zero[:, 0]
-            corner, relations = rel.entries(gen, fixed, 4)
+            corner, relations = _entries(rel, gen, fixed, 4)
             pinned = np.zeros((len(gens), width), dtype=np.int64)
             pinned[range(len(gens)), cols], pinned[:, -1] = 1, -fix
             y = _least(rows + [pinned, relations.reshape(-1, width)], p)

@@ -17,7 +17,9 @@ formula, independently of the library's one batched differential.
 `cohomology_by_full_stream` builds an H^degree basis from all of d^degree,
 with an [A | I] `TransformSolver` for coordinates, and
 `cocycles_by_generator_rows` reduces Z^degree from the rows of d^degree whose
-last argument is e or a generator.  `cocycles_by_bfs_system` solves for it
+last argument is e or a generator.  `d1_solver_by_coboundary_matrix` solves
+d c = f on one `Solver` of the whole |G|^2 x |G| matrix of d^1, not along
+the presentation's tree.  `cocycles_by_bfs_system` solves for it
 from every value written through the values at the generators along a BFS
 tree (in degree 2, |G|^2 |S| dense equations instead of the presentation's
 loops).  `check_cocycles_by_all_tuples` applies d
@@ -40,7 +42,9 @@ import numpy as np
 
 from masseybrauer._kernels import BLOCK_ROWS, _dot, rref, rref_blocks
 from masseybrauer.brauer_q import HALF, BrauerClass2, Place, factorize, is_local_square
-from masseybrauer.cochain_dga import CohomologyRing, _cocycles, _delta, get_ring, restrict
+from masseybrauer.cochain_dga import (
+    CohomologyRing, _cocycles, _delta, coboundary_matrix, get_ring, restrict,
+)
 from masseybrauer.fp_linalg import Solver, null_space_rows, row_space_basis
 from masseybrauer.group_core import Character, FiniteGroup, Subgroup, bfs_tree
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
@@ -725,6 +729,12 @@ def cohomology_by_full_stream(group: FiniteGroup, p: int, degree: int):
     spanning = np.concatenate([reps, b_rows])
     solver = TransformSolver(spanning.T, p) if len(spanning) else None
     return z, reps, solver
+
+
+def d1_solver_by_coboundary_matrix(group: FiniteGroup, p: int) -> Solver:
+    """Solver for d c = f, c of degree 1, on the whole matrix of d^1: plain
+    elimination with leftmost pivots, free variables 0."""
+    return Solver(coboundary_matrix(group, p, 1), p)
 
 
 def cocycles_by_generator_rows(group: FiniteGroup, p: int, degree: int) -> np.ndarray:

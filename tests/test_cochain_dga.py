@@ -39,6 +39,7 @@ from oracles import (
     cocycles_by_generator_rows,
     cohomology_by_full_stream,
     coordinates_by_cocycle_solver,
+    d1_solver_by_coboundary_matrix,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -405,6 +406,115 @@ class TestPresentationSystem:
         assert ring.basis(1).dim == 0 and ring.basis(2).dim == 0
         assert cochain_dga._cocycles(g, 3, 2).tolist() == [[1]]
         assert ring.basis(2).coordinates(Cochain(g, 3, 2, np.ones((1, 1)))).shape == (0,)
+
+
+def _d1_inputs(g, p, rng):
+    """Flattened 2-cochains, one per column, and what each one is:
+    coboundaries, cocycles that are not coboundaries (an H^2 representative
+    plus a coboundary), random tables, and coboundaries changed at one
+    (x, h) with h outside S and e, which the tree equations at (e, e) and on
+    G x S do not see."""
+    n = g.order
+    d1 = coboundary_matrix(g, p, 1)
+    cob = d1 @ rng.integers(0, p, (n, 6)) % p
+    reps = CohomologyRing(g, p).basis(2).rep_values
+    cocycles = (reps.T + d1 @ rng.integers(0, p, (n, len(reps)))) % p
+    tables = rng.integers(0, p, (n * n, 6))
+    unseen = sorted(set(range(n)) - {g.identity, *g.generating_set()})
+    bumped = cob[:, :0]
+    if unseen:
+        bumped = cob[:, :3].copy()
+        bumped[rng.integers(0, n, 3) * n + unseen[-1], np.arange(3)] += 1
+        bumped %= p
+    kinds = ["coboundary"] * 6 + ["class"] * len(reps) + ["table"] * 6 + ["bumped"] * bumped.shape[1]
+    return np.concatenate([cob, cocycles, tables, bumped], axis=1), kinds
+
+
+class TestTreeD1Solve:
+    """d^1 solved along the presentation's tree, byte for byte against a
+    Solver on the whole matrix of d^1, and without building d^1."""
+
+    @pytest.mark.parametrize(
+        "make,p",
+        [(lambda name=name: builtin_group(name), p) for name, p in FULL_STREAM_CASES]
+        + [
+            (lambda: builtin_group("dihedral:32"), 2),
+            (_s4_with_extra_generators, 2),
+            (_s4_with_extra_generators, 3),
+            (lambda: FiniteGroup(cyclic_group(8).mul, generators=[3, 1, 0]), 2),
+        ],
+        ids=[f"{name}@{p}" for name, p in FULL_STREAM_CASES]
+        + ["dihedral:32@2", "s4-extra@2", "s4-extra@3", "z8-redundant-e"],
+    )
+    def test_identical_to_coboundary_matrix_solver(self, make, p):
+        g = make()
+        rhs, kinds = _d1_inputs(g, p, np.random.default_rng(g.order * p + 5))
+        x, ok = CohomologyRing(g, p).d1_solver().solve_many(rhs)
+        want_x, want_ok = d1_solver_by_coboundary_matrix(g, p).solve_many(rhs)
+        assert ok.tobytes() == want_ok.tobytes()
+        assert x[:, ok].tobytes() == want_x[:, ok].tobytes()
+        # a random table is a coboundary only by chance (always on the trivial group)
+        assert {kind for kind, good in zip(kinds, ok) if not good} <= {"class", "table", "bumped"}
+        assert {kind for kind, good in zip(kinds, ok) if good} <= {"coboundary", "table"}
+
+    def test_ring_never_builds_d1(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the matrix of d^1 was built")
+
+        monkeypatch.setattr(cochain_dga, "coboundary_matrix", never)
+        g = builtin_group("dihedral:128")
+        ring = CohomologyRing(g, 2)
+        phis = ring.basis(1).rep_values
+        n, d = g.order, len(phis)
+        cups = (phis[:, None, :, None] * phis[None, :, None, :]).reshape(d * d, n * n)
+        x, ok = ring.d1_solver().solve_many(cups.T)
+        # verdicts from the relator cup form, solutions against the differential
+        rel = cochain_dga.relators(g, 2)
+        at = phis.T[rel.gens]
+        form = ~(rel.checks @ (at[:, None, :, None] * at[None, :, None, :]).reshape(-1, d * d) % 2).any(axis=0)
+        assert ok.tolist() == form.tolist() and ok.any() and not ok.all()
+        for j in np.flatnonzero(ok):
+            assert differential(Cochain(g, 2, 1, x[:, j])).flat().tolist() == cups[j].tolist()
+
+    def test_relator_matrix_eliminated_once(self, monkeypatch):
+        # Z^1 and the d^1 solves read the one elimination of R in Relators'
+        # Solver; the cup form is built only for find_prescribed_hom
+        from masseybrauer import fp_linalg, unipotent
+
+        g = FiniteGroup(builtin_group("dihedral:8").mul)  # nothing memoized yet
+        solvers, reduced = [], []
+        real_init = fp_linalg.Solver.__init__
+
+        def counted_init(self, a, p):
+            solvers.append(np.asarray(a) % p)
+            real_init(self, a, p)
+
+        def recording(real):
+            def rref(a, p):
+                reduced.append(np.asarray(a) % p)
+                return real(a, p)
+
+            return rref
+
+        def no_blocks(*args):
+            raise AssertionError("rref_blocks called")
+
+        monkeypatch.setattr(fp_linalg.Solver, "__init__", counted_init)
+        for module in (fp_linalg, cochain_dga, unipotent):
+            monkeypatch.setattr(module, "rref", recording(module.rref))
+        monkeypatch.setattr(cochain_dga, "rref_blocks", no_blocks)
+        ring = CohomologyRing(g, 2)
+        ring.basis(1)
+        ring.d1_solver().solve_many(coboundary_rows(g, 2, 1))
+        rel = cochain_dga.relators(g, 2)
+        assert "checks" not in vars(rel) and "pairs" not in vars(rel)
+        assert len(solvers) == 1 and np.array_equal(solvers[0], rel.matrix)
+        same = [a for a in reduced if a.shape == rel.matrix.shape and np.array_equal(a, rel.matrix)]
+        assert len(same) == 1
+        monkeypatch.undo()
+        chi = ring.h1_characters()[0]
+        unipotent.find_prescribed_hom(g, [chi, chi], 2)
+        assert "checks" in vars(rel) and rel is cochain_dga.relators(g, 2)
 
 
 class TestSizeBound:
