@@ -66,11 +66,12 @@ that are coboundaries, the time from the ring to the solutions (the group
 is built before the clock starts) and the peak RSS of that process in MB.
 
 The scan cases run `scan_vanishing` on `dihedral:16`@2, `unipotent:3:2`@2,
-`elab:3:3`@3 and `elab:2:5`@2.  One untimed call builds the ring, its
-cup table and the d1 solver; five more are timed.  Every call must find
-the known number of witnesses (0, 0, 104, 0), or the section exits with
-an error.  Each line gives the group, p, the number of triples and of
-witnesses, and the median and the largest call time in seconds.
+`elab:3:3`@3, `elab:2:5`@2 and `elab:2:6`@2, in a new interpreter for each
+group.  One untimed call builds the ring, its cup table and the d1 solver;
+five more are timed.  Every call must find the known number of witnesses
+(0, 0, 104, 0, 0), or the section exits with an error.  Each line gives the
+group, p, the number of triples and of witnesses, the median and the
+largest call time in seconds, and the peak RSS of that process in MB.
 
 Every rref and realize time is the best of three calls, or one call when it
 takes over a second.
@@ -93,7 +94,6 @@ from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix, get_ring
 from masseybrauer.fp_linalg import is_prime
 from masseybrauer.lgp_decompose import decompose, realize_as_cup, verify_certificate
-from masseybrauer.massey import scan_vanishing
 from masseybrauer.unipotent import find_prescribed_hom
 
 
@@ -320,23 +320,41 @@ def bench_d1() -> None:
 
 
 # (group, p, witnesses of the vanishing scan)
-_SCAN = [("dihedral:16", 2, 0), ("unipotent:3:2", 2, 0), ("elab:3:3", 3, 104), ("elab:2:5", 2, 0)]
+_SCAN = [
+    ("dihedral:16", 2, 0), ("unipotent:3:2", 2, 0), ("elab:3:3", 3, 104), ("elab:2:5", 2, 0),
+    ("elab:2:6", 2, 0),
+]
+
+# warm scans in the child: prints triples, witnesses, the median and the
+# largest time of five, peak RSS in MB; exits 1 on a wrong witness count
+_SCAN_CHILD = """
+import resource, statistics, sys, time
+from masseybrauer.catalog import builtin_group
+from masseybrauer.massey import scan_vanishing
+g, p, want = builtin_group(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+times = []
+for call in range(6):
+    report = None  # one report alive at a time
+    t0 = time.perf_counter()
+    report = scan_vanishing(g, p)
+    if call:  # the first call builds the ring, its cup table and the d1 solver
+        times.append(time.perf_counter() - t0)
+    if len(report.witnesses) != want:
+        sys.exit(f"scan {sys.argv[1]}@{p}: {len(report.witnesses)} witnesses, expected {want}")
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(len(report.entries), want, statistics.median(times), max(times), rss)
+"""
 
 
 def bench_scan() -> None:
-    print(f"{'group':16s} {'p':>2s} {'triples':>8s} {'witnesses':>9s} {'median_s':>9s} {'max_s':>9s}")
+    print(f"{'group':16s} {'p':>2s} {'triples':>8s} {'witnesses':>9s} {'median_s':>9s} {'max_s':>9s} {'peak_mb':>8s}")
     for name, p, want in _SCAN:
-        g = builtin_group(name)
-        times = []
-        for call in range(6):
-            t0 = time.perf_counter()
-            report = scan_vanishing(g, p)
-            if call:  # the first call builds the ring
-                times.append(time.perf_counter() - t0)
-            if len(report.witnesses) != want:
-                sys.exit(f"scan {name}@{p}: {len(report.witnesses)} witnesses, expected {want}")
-        t = np.asarray(times)
-        print(f"{name:16s} {p:2d} {len(report.entries):8d} {want:9d} {np.median(t):9.4f} {t.max():9.4f}")
+        argv = [sys.executable, "-c", _SCAN_CHILD, name, str(p), str(want)]
+        run = subprocess.run(argv, capture_output=True, text=True)
+        if run.returncode:
+            sys.exit(run.stderr.strip() or f"scan {name}@{p} failed")
+        triples, witnesses, median, most, rss = run.stdout.split()
+        print(f"{name:16s} {p:2d} {triples:>8s} {witnesses:>9s} {float(median):9.4f} {float(most):9.4f} {float(rss):8.1f}")
 
 
 def main(sections: list[str]) -> None:

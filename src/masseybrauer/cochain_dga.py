@@ -172,22 +172,20 @@ def _delta(
 
 
 class Relators:
-    """The relations of a map defined along the BFS tree of the Cayley graph
-    (`FiniteGroup.presentation`), for one group and modulus, with unknowns
-    and relations by `generating_set()` index: a repeated generator counts
-    at its first index, and e and the later copies only in the relations.
-    Built once per (group, p) by `relators`.
+    """The relations of maps defined along the BFS tree of the Cayley graph
+    (`FiniteGroup.presentation`), for one group and modulus, indexed by the
+    presentation's generators S.  Built once per (group, p) by `relators`.
 
-    Every g != e is reached as parent[g] s_via[g].  A map written along the
-    tree through its generator values a is paths a at g, paths[g] counting
-    the generators along the path to g, and the relations
-    c(g s) = c(g) + a_s have the relator matrix
-    R = paths[g s] - paths[g] - e_s (rows by (g, s)).  `solver` eliminates
-    R once; `reduced` is its RREF and `kernel` spans its null space, the
-    generator values of the homomorphisms G -> F_p.  They serve Z^1
-    (`_cocycles`), d^1 solves (`TreeD1Solver`) and the prescribed
-    homomorphisms of `unipotent`, whose matrix entries are such path sums
-    too.
+    Every g != e is reached as parent[g] s_via[g].  `relations` sums a value
+    step[g, s] along the tree to each element, and gives the relations that
+    the edges off the tree leave.  For step[g, s] = e_s the sums are
+    paths[g], counting the generators along the path to g, and the
+    relations are the relator matrix R = paths[g s] - paths[g] - e_s (rows
+    by (g, s)): a map with c(g s) = c(g) + a_s is paths a for a in ker R.
+    `solver` eliminates R once; `reduced` is its RREF and `kernel` spans its
+    null space, the generator values of the homomorphisms G -> F_p.  They
+    serve Z^1 (`_cocycles`), d^1 solves (`TreeD1Solver`) and the prescribed
+    homomorphisms of `unipotent`, whose matrix entries are such tree sums.
 
     For those, pairs[g, k, l] counts the edges via s_l of the path to g,
     each weighted by the s_k in the path to its start, and `checks`, the
@@ -197,18 +195,25 @@ class Relators:
 
     def __init__(self, group: FiniteGroup, p: int):
         pres = group.presentation()
-        self.gens = np.asarray(group.generating_set(), dtype=np.int64)
+        self.gens = pres.gens
         n, ns = group.order, len(self.gens)
         self.p, self.parent, self.path_sums = p, pres.parent, pres.path_sums
-        self.via = pres.first[pres.via[1:]]  # of the elements 1, 2, ...; 0 is e
+        self.via = pres.via[1:]  # of the elements 1, 2, ...; 0 is e
         self.ends = group.mul[:, self.gens]
-        self.paths = np.zeros((n, ns), dtype=np.int64)
-        self.paths[:, pres.first] = pres.words % p
-        eye = np.eye(ns, dtype=np.int64)
-        self.matrix = (self.paths[self.ends] - self.paths[:, None] - eye).reshape(n * ns, ns) % p
+        self.paths, matrix = self.relations(np.broadcast_to(np.eye(ns, dtype=np.int64), (n, ns, ns)))
+        self.matrix = matrix.reshape(n * ns, ns)
         self.solver = Solver(self.matrix, p)
         self.reduced = self.solver.reduced
         self.kernel = null_space_rows(self.reduced, self.solver.pivots, p)
+
+    def relations(self, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """own, the sums of step[g, s] (any trailing axes) over the tree
+        edges (g, s) of the path to each element, 0 at e, and the relations
+        own[g s] - own[g] - step[g, s] at every (g, s), both mod p."""
+        along = np.zeros((len(self.parent),) + step.shape[2:], dtype=np.int64)
+        along[1:] = step[self.parent[1:], self.via]  # 0 at the identity
+        own = self.path_sums(along) % self.p
+        return own, (own[self.ends] - own[:, None] - step) % self.p
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -219,7 +224,8 @@ class Relators:
 
     @cached_property
     def checks(self) -> np.ndarray:
-        """The constants of `distance_two` are bilinear in the generator
+        """The distance-2 relations R x_i = c_i of `find_prescribed_hom`, c_i
+        = -`relations` of chi_i(g) chi_(i+1)(s), are bilinear in the generator
         values a of chi_i and b of chi_(i+1): c_i = sum_kl a_k b_l M_kl, with
         M_kl(g, s) = pairs[g, k, l] - pairs[g s, k, l] + paths[g, k] [s = l].
         c_i is in the column space of R iff its residue after a solve is 0,
@@ -253,16 +259,6 @@ class Relators:
             p,
         )
         return red
-
-    def distance_two(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F and the constants of the distance-2 relations R x_i = c_i, for
-        the character table values[g, i].  F[g, i], the entry (i, i + 2) of
-        rho(g) when x_i = 0, is the path sum of chi_i(parent) chi_(i+1)(via),
-        and c_i(g, s) = F_i(g) + chi_i(g) chi_(i+1)(s) - F_i(g s) (column i)."""
-        at = values[self.gens]
-        f = ((self.pairs @ at[:, 1:]) * at[:, :-1]).sum(axis=1)
-        cross = values[:, None, :-1] * at[None, :, 1:]
-        return f, (f[:, None] + cross - f[self.ends]).reshape(-1, values.shape[1] - 1)
 
 
 def relators(group: FiniteGroup, p: int) -> Relators:
@@ -447,20 +443,22 @@ class CohomologyBasis:
 
 
 class TreeD1Solver:
-    """Solves d c = f for 1-cochains c, f given as flattened value tables
-    (one per column), along the presentation's tree; d^1 is never built.
+    """Solves d c = f for 1-cochains c along the presentation's tree; d^1
+    is never built.
 
     At (e, e) and at (g, s) for s in S, d c = f reads c(e) = f(e, e) and
     c(g s) = c(g) + a_s - f(g, s), with a_s = c(s) - c(e) + f(e, s).  Along
-    the tree that writes c = paths a + k, with k(e) = f(e, e) and
-    k(g s) = k(g) - f(g, s) on the tree edges, and the edges off it leave
-    R a = k(g) - k(g s) - f(g, s) at every (g, s): one solve on the
-    relator solver (`Relators`).  Subtracting the cocycle Z^T c[L] then
-    gives the one solution that is 0 on the lead columns L of Z^1, which
-    are the free columns of d^1: the solution of Gaussian elimination of
-    d^1 with leftmost pivots and free variables 0.  These equations are
-    d c = f only where f is a cocycle (there f(e, s) = f(e, e)), so a
-    column is ok iff its c passes the exact check d c = f at every (g, h)."""
+    the tree that writes c = paths a + own + f(e, e), own and R a from the
+    `Relators.relations` of -f(g, s): one solve on the relator solver.
+    Subtracting the cocycle Z^T c[L] then gives the one solution that is 0
+    on the lead columns L of Z^1, the free columns of d^1: the solution of
+    Gaussian elimination of d^1 with leftmost pivots and free variables 0.
+
+    These equations are d c = f on G x S where f(e, s) = f(e, e), as for
+    every cocycle.  So `solve_many`, for any 2-cochains, checks d c = f at
+    every (g, h); `solve_cups`, for cups of characters, reads G x S only and
+    the relator solve decides: w = d c - f is then a cocycle that vanishes
+    at last arguments in S, hence everywhere (as in `_check_cocycles`)."""
 
     def __init__(self, group: FiniteGroup, p: int, rel: Relators, h1: CohomologyBasis):
         self.mul, self.p, self.rel, self.h1 = group.mul, p, rel, h1
@@ -476,27 +474,43 @@ class TreeD1Solver:
     def solve_many(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve d c = f for each column f of `b`.  Returns (solutions, ok);
         columns whose ok flag is False hold no solution."""
-        mul, p, rel, h1 = self.mul, self.p, self.rel, self.h1
+        mul, p = self.mul, self.p
         n = len(mul)
         if b.shape[0] != n * n:
             raise ValueError("dimension mismatch")
         # residues are below MAX_PRIME < 2^16, so d c - f fits int32
         f = np.ascontiguousarray(np.asarray(b, dtype=np.int64) % p, dtype=np.int32).reshape(n, n, -1)
-        cols = f.shape[2]
-        along = np.zeros((n, cols), dtype=np.int64)  # 0 at the identity, element 0
-        along[1:] = -f[rel.parent[1:], rel.gens[rel.via]]
-        k = rel.path_sums(along) + f[0, 0]
-        a = rel.solver.solve_many((k[:, None] - k[rel.ends] - f[:, rel.gens]).reshape(-1, cols))[0]
-        c = (_dot(rel.paths, a) + k) % p
-        c = (c - (h1._z_t @ c[h1._lead].astype(np.float64)).astype(np.int64)) % p
+        c, ok = self._solve(f[:, self.rel.gens], f[0, 0])
         # d c at blocks of first arguments that keep each array near 2^21 entries
-        c32, ok = c.astype(np.int32), np.ones(cols, dtype=bool)
-        every = np.arange(n)
-        step = max(1, (1 << 21) // max(n * cols, 1))
+        c32, every = c.astype(np.int32), np.arange(n)
+        step = max(1, (1 << 21) // max(n * f.shape[2], 1))
         for lo in range(0, n, step):
             dc = _delta(c32, mul, 1, every[lo : lo + step], every)
             ok &= ~((dc - f[lo : lo + step]) % p).any(axis=(0, 1))
         return c, ok
+
+    def solve_cups(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve d c = a_j u b_j for the characters a_j, b_j given as value
+        tables, column j of `a` and of `b` (|G| rows each).  Returns
+        (solutions, ok) as `solve_many` does; raises ValueError unless every
+        a_j and b_j is a homomorphism, checked at G x S."""
+        rel, p = self.rel, self.p
+        a, b = (np.asarray(x, dtype=np.int64) % p for x in (a, b))
+        if a.shape != b.shape or a.shape[0] != len(self.mul):
+            raise ValueError("dimension mismatch")
+        for x in (a, b):
+            if x[0].any() or ((x[rel.ends] - x[:, None] - x[rel.gens]) % p).any():
+                raise ValueError("not a homomorphism")
+        return self._solve(a[:, None] * b[rel.gens], 0)  # f(e, e) = a(e) b(e) = 0
+
+    def _solve(self, at_s: np.ndarray, at_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solutions c from the values f(g, s) at G x S, at_s[g, s, j],
+        and f(e, e) = at_e[j], and the relator solve's ok flags."""
+        p, rel, h1 = self.p, self.rel, self.h1
+        own, rows = rel.relations(-at_s)
+        a, ok = rel.solver.solve_many(-rows.reshape(-1, at_s.shape[2]))
+        c = (_dot(rel.paths, a) + own + at_e) % p
+        return (c - (h1._z_t @ c[h1._lead].astype(np.float64)).astype(np.int64)) % p, ok
 
 
 class CohomologyRing:

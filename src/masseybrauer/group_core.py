@@ -165,23 +165,18 @@ class Presentation:
     edges off it.
 
     Every g != e is first reached as parent[g] s_via[g] (`bfs_tree` from the
-    identity), so each s in S is a child of e via itself.  steps[g] is
-    s_via[g] as a unit vector (0 at e), and words[g, j] counts s_j in the
-    tree word of g.  edges[v, j] numbers the off-tree edges (v, s_j), row
-    by row, and is -1 on the tree: the relation module of the free group
-    on S is freely generated by one loop per off-tree edge (Schreier).
-    `first[j]` is the index of s_j in `generating_set()`.  For S empty (the
-    trivial group) every array but parent and via has no columns.  No
-    array is |G| x |G|."""
+    identity), so each s in S is a child of e via itself.  edges[v, j]
+    numbers the off-tree edges (v, s_j), row by row, and is -1 on the tree:
+    the relation module of the free group on S is freely generated by one
+    loop per off-tree edge (Schreier).  For S empty (the trivial group)
+    `gens` and `edges` have no columns.  No array is |G| x |G|."""
 
     def __init__(self, group: FiniteGroup):
         e, n = group.identity, group.order
         listed = group.generating_set()
-        self.first = np.array(
-            [k for k, s in enumerate(listed) if s != e and s not in listed[:k]], dtype=np.int64
+        self.gens = np.array(
+            [s for k, s in enumerate(listed) if s != e and s not in listed[:k]], dtype=np.int64
         )
-        self.gens = np.asarray(listed, dtype=np.int64)[self.first]
-        ns = len(self.gens)
         self.parent = np.zeros(n, dtype=np.int64)
         self.via = np.zeros(n, dtype=np.int64)
         for kids, parents, via in bfs_tree(group, self.gens):
@@ -191,13 +186,10 @@ class Presentation:
         while up.any():
             self.jumps.append(up)
             up = up[up]
-        self.steps = np.zeros((n, ns), dtype=np.int64)
         kids = np.flatnonzero(np.arange(n) != e)
-        self.steps[kids, self.via[kids]] = 1
-        self.words = self.path_sums(self.steps)
-        off = np.ones((n, ns), dtype=bool)
+        off = np.ones((n, len(self.gens)), dtype=bool)
         off[self.parent[kids], self.via[kids]] = False
-        self.edges = np.full((n, ns), -1, dtype=np.int64)
+        self.edges = np.full(off.shape, -1, dtype=np.int64)
         self.edge_count = int(off.sum())
         self.edges[off] = np.arange(self.edge_count)
 
@@ -377,10 +369,10 @@ def frattini_p_quotient(
     """The quotient G / G^p [G, G] with its projection table.
 
     The quotient is elementary abelian; its dual is H^1(G, Z/p), and the
-    evaluation pairing between the two is perfect.
+    evaluation pairing between the two is perfect.  p is checked first:
+    G^p costs p multiplications.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     mul, inv, n = group.mul, group.inv, group.order
     powers = np.full(n, group.identity)
     for _ in range(p):

@@ -83,30 +83,19 @@ class MasseyCoset:
         return sorted(set(out))
 
 
-def _solve_d1(ring: CohomologyRing, rhs: Cochain) -> Cochain | None:
-    x = ring.d1_solver().solve(rhs.flat())
-    if x is None:
-        return None
-    return Cochain(ring.group, ring.p, 1, x)
-
-
 def find_triple_defining_system(
     chi1: Character, chi2: Character, chi3: Character
 ) -> DefiningSystem | None:
     """A deterministic defining system on (chi1, chi2, chi3), or None when
     one of the cup classes [chi1][chi2], [chi2][chi3] is nonzero."""
     g, p = _common(chi1, chi2, chi3)
-    ring = get_ring(g, p)
-    c1, c2, c3 = (Cochain.from_character(c) for c in (chi1, chi2, chi3))
-    c12 = _solve_d1(ring, -cup(c1, c2))
-    if c12 is None:
+    vals = np.stack([chi1.values, chi2.values, chi3.values], axis=1)
+    # c12 and c23 solve d c = -(chi1 u chi2) and -(chi2 u chi3)
+    c, ok = get_ring(g, p).d1_solver().solve_cups(-vals[:, :2], vals[:, 1:])
+    if not ok.all():
         return None
-    c23 = _solve_d1(ring, -cup(c2, c3))
-    if c23 is None:
-        return None
-    return DefiningSystem(
-        3, {(1, 1): c1, (2, 2): c2, (3, 3): c3, (1, 2): c12, (2, 3): c23}
-    )
+    (c1, c2, c3), (c12, c23) = ([Cochain(g, p, 1, x) for x in v.T] for v in (vals, c))
+    return DefiningSystem(3, {(1, 1): c1, (2, 2): c2, (3, 3): c3, (1, 2): c12, (2, 3): c23})
 
 
 def indeterminacy_subspace(
@@ -205,7 +194,8 @@ def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
 
     Batched.  Every cup class chi_i u chi_j is read from the ring's cup
     table, since chi_i = sum_a x_ia phi_a as a cochain (B^1 = 0); one d1
-    solve gives all c_ij, and its solvability must agree with the table.
+    solve of the cups from their values on G x S (`solve_cups`, no |G|^2
+    cup table) gives all c_ij, and its solvability must agree with the table.
     Blocks of representatives -(chi_i u c_jk + c_ij u chi_k) get H^2
     coordinates from solves that also check exactly that they are
     cocycles.  The indeterminacy chi_i u H^1 + chi_k u H^1 (Kraines) depends
@@ -224,8 +214,7 @@ def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
     left = (x @ ring.cup_table().reshape(d, d * dim)).reshape(m, d, dim) % p
     cup_zero = ~((left.transpose(0, 2, 1) @ x.T) % p).any(axis=1)
     # c_ij solving d c_ij = -(chi_i u chi_j), an independent test of vanishing
-    cups = (vals[:, None, :, None] * vals[None, :, None, :]).reshape(m * m, n * n) % p
-    c, ok = ring.d1_solver().solve_many(-cups.T)
+    c, ok = ring.d1_solver().solve_cups(np.repeat(-vals.T, m, axis=1), np.tile(vals.T, m))
     if not np.array_equal(ok, cup_zero.reshape(-1)):
         raise RuntimeError("vanishing cup classes disagree with d1-solvability")
     c = c.T.reshape(m, m, n)

@@ -8,10 +8,10 @@ quotient when position (1,n) is allowed to fail.
 
 A homomorphism with prescribed superdiagonal characters
 (`find_prescribed_hom`) is a solve for the entries above the superdiagonal
-of the generator images.  Extended along a BFS tree of the Cayley graph,
-every entry of rho(g) is a sum over the tree path to g, and the relations
-rho(g s) = rho(g) rho(s) have one relator matrix R as every entry's
-coefficients on its own unknowns (`cochain_dga.Relators`, eliminated once
+of the images of the presentation's generators S.  Extended along its BFS
+tree, every entry of rho(g) is a tree sum and rho(g s) = rho(g) rho(s) are
+its relations, both from `cochain_dga.Relators.relations`, with one relator
+matrix R as every entry's coefficients on its own unknowns (eliminated once
 per group and modulus; Z^1 and the d^1 solves read the same elimination).
 The entries (i, i + 2) need nothing but R and constants from the
 characters, and those constants are bilinear in the characters' generator
@@ -206,10 +206,7 @@ def _entries(rel: Relators, gen: dict, forms: dict, d: int):
     step = gen[d][None]
     for t in range(1, d):
         step = step + _times(forms[t][:, None, :npos], gen[d - t][None, :, t : t + npos])
-    along = np.zeros((len(rel.parent),) + step.shape[2:], dtype=np.int64)
-    along[1:] = step[rel.parent[1:], rel.via]  # 0 at the identity
-    own = rel.path_sums(along) % rel.p
-    return own, (own[rel.ends] - own[:, None] - step) % rel.p
+    return rel.relations(step)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,10 +246,13 @@ def find_prescribed_hom(
     generator images (element indices, in `group.generating_set()` order) is
     lexicographically least.
 
-    The unknowns are the entries with j - i >= 2 of the generator images.
-    Extended to G along the tree of `Relators`, the entry (i, j) of rho(g)
-    has coefficients paths[g] on its own unknowns, and every product term
-    in it has a superdiagonal factor, a fixed character value.  So the
+    The unknowns are the entries with j - i >= 2 of the images of S, the
+    presentation's generators; those of e and of repeated generators follow
+    from them, so the least tuple over S is the least over the generating
+    set.  Extended to G along the tree of `Relators` (`_entries`), the
+    entry (i, j) of rho(g) has coefficients paths[g] on its own unknowns,
+    and every product term in it has a superdiagonal factor, a fixed
+    character value.  So the
     relations at (i, j) are R on the own unknowns plus character-weighted
     path sums of the unknowns nearer the diagonal: block lower triangular.
     The distance-2 blocks have only constants besides R, bilinear in the
@@ -281,26 +281,27 @@ def find_prescribed_hom(
         at = values[rel.gens]  # the cup form on a (x) b, column i for chi_i, chi_(i+1)
         if (rel.checks @ (at[:, None, :-1] * at[None, :, 1:]).reshape(-1, n - 1) % p).any():
             return None
-        at_zero, constants = rel.distance_two(values)
-        x2, ok = rel.solver.solve_many(constants)
+        # rho(g)_(i,i+2) = paths[g] x_i + at_zero[g, i], with R x_i = -relations
+        at_zero, relations = rel.relations(values[:, None, :-1] * at[None, :, 1:])
+        x2, ok = rel.solver.solve_many(-relations.reshape(-1, n - 1))
         if not ok.all():
             raise RuntimeError(
                 "internal error: the cup form passed a distance-2 block that the relator solve rejects"
             )
-    gens = group.generating_set()
+    ns = len(rel.gens)
     free = [(i, j) for i, j in target.positions if j - i >= 2]
-    width = len(gens) * len(free) + 1
+    width = ns * len(free) + 1
     # affine forms [coefficients | constant]: forms[t][g, i] of rho(g)_(i,i+t),
     # gen[t][k, i] of rho(s_k)_(i,i+t); the unknown rho(s_k) at free[f] is
     # column width - 2 - k * len(free) - f, so the columns run backwards
-    unknown = width - 2 - np.arange(len(free)) - len(free) * np.arange(len(gens))[:, None]
+    unknown = width - 2 - np.arange(len(free)) - len(free) * np.arange(ns)[:, None]
     forms = {1: np.zeros((group.order, n, width), dtype=np.int64)}
     forms[1][..., -1] = values
-    gen = {1: forms[1][gens]}
+    gen = {1: forms[1][rel.gens]}
     for t in range(2, last + 1):
-        gen[t] = np.zeros((len(gens), n + 1 - t, width), dtype=np.int64)
+        gen[t] = np.zeros((ns, n + 1 - t, width), dtype=np.int64)
     for f, (i, j) in enumerate(free):
-        gen[j - i][range(len(gens)), i, unknown[:, f]] = 1
+        gen[j - i][range(ns), i, unknown[:, f]] = 1
     rows = [np.zeros((0, width), dtype=np.int64)]
     if last >= 2:
         # x_i in x2[:, i] + ker R: the RREF rows of R in place of the relations
@@ -324,8 +325,8 @@ def find_prescribed_hom(
             fixed = {**forms, 2: forms[2].copy()}  # rho(g)_02 a constant
             fixed[2][:, 0, cols], fixed[2][:, 0, -1] = 0, rel.paths @ fix + at_zero[:, 0]
             corner, relations = _entries(rel, gen, fixed, 4)
-            pinned = np.zeros((len(gens), width), dtype=np.int64)
-            pinned[range(len(gens)), cols], pinned[:, -1] = 1, -fix
+            pinned = np.zeros((ns, width), dtype=np.int64)
+            pinned[range(ns), cols], pinned[:, -1] = 1, -fix
             y = _least(rows + [pinned, relations.reshape(-1, width)], p)
             # the unknowns in order, y[-2::-1], order the generator images
             if y is not None and (x is None or y[-2::-1].tolist() < x[-2::-1].tolist()):

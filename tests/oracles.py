@@ -594,6 +594,18 @@ def prescribed_hom_by_tree_system(
     return None if img is None else GroupHom(group, target, img)
 
 
+def distance_two_by_pairs(rel: Relators, values: np.ndarray) -> np.ndarray:
+    """The constants c_i of the distance-2 relations R x_i = c_i for the
+    character table values[g, i], from `Relators.pairs`, not from the tree
+    sums of `Relators.relations`: F[g, i], the entry (i, i + 2) of rho(g)
+    when x_i = 0, is sum_kl pairs[g, k, l] chi_i(s_k) chi_(i+1)(s_l), and
+    c_i(g, s) = F_i(g) + chi_i(g) chi_(i+1)(s) - F_i(g s) (column i)."""
+    at = values[rel.gens]
+    f = ((rel.pairs @ at[:, 1:]) * at[:, :-1]).sum(axis=1)
+    cross = values[:, None, :-1] * at[None, :, 1:]
+    return (f[:, None] + cross - f[rel.ends]).reshape(-1, values.shape[1] - 1) % rel.p
+
+
 def cup_form_by_stacked_residues(rel: Relators) -> np.ndarray:
     """The RREF rows of the residues of every M_kl after a solve on the
     relator matrix R, stacked into one |G||S| x |S|^2 matrix (columns

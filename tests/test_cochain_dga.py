@@ -517,6 +517,53 @@ class TestTreeD1Solve:
         assert "checks" in vars(rel) and rel is cochain_dga.relators(g, 2)
 
 
+class TestCupSolve:
+    """Cups of characters solved from their values on G x S, byte for byte
+    against `solve_many` on the whole value tables."""
+
+    @pytest.mark.parametrize(
+        "make,p",
+        [(lambda name=name: builtin_group(name), p) for name, p in FULL_STREAM_CASES]
+        + [
+            (lambda: builtin_group("dihedral:32"), 2),
+            (_s4_with_extra_generators, 2),
+            (_s4_with_extra_generators, 3),
+            (lambda: FiniteGroup(cyclic_group(8).mul, generators=[3, 1, 0]), 2),
+        ],
+        ids=[f"{name}@{p}" for name, p in FULL_STREAM_CASES]
+        + ["dihedral:32@2", "s4-extra@2", "s4-extra@3", "z8-redundant-e"],
+    )
+    def test_identical_to_solve_many(self, make, p):
+        g = make()
+        n, solver = g.order, CohomologyRing(g, p).d1_solver()
+        phis = CohomologyRing(g, p).basis(1).rep_values
+        # every phi_a u phi_b, then cups of random sums of the phi_a
+        rng = np.random.default_rng(g.order * p + 11)
+        sums = rng.integers(0, p, (8, len(phis))) @ phis % p
+        a = np.concatenate([np.repeat(phis, len(phis), axis=0), sums, -sums[::-1]])
+        b = np.concatenate([np.tile(phis, (len(phis), 1)), sums[::-1], sums])
+        x, ok = solver.solve_cups(a.T, b.T)
+        want_x, want_ok = solver.solve_many((a[:, :, None] * b[:, None, :]).reshape(len(a), n * n).T)
+        assert ok.tobytes() == want_ok.tobytes()
+        assert x.tobytes() == want_x.tobytes()
+
+    @pytest.mark.parametrize("name,p", [("dihedral:8", 2), ("cyclic:9", 3), ("cyclic:1", 2)])
+    def test_rejects_non_homomorphisms(self, name, p):
+        g = builtin_group(name)
+        solver = CohomologyRing(g, p).d1_solver()
+        # the characters plus 1 (1 at e), and 1 at one element other than e
+        good = np.zeros((g.order, 1), dtype=np.int64)
+        bad = list(CohomologyRing(g, p).basis(1).rep_values[:, :, None] + 1) + [good + 1]
+        if g.order > 1:
+            bad.append(good.copy())
+            bad[-1][-1] = 1
+        for x in bad:
+            for args in ((x, good), (good, x)):
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    solver.solve_cups(*args)
+        assert solver.solve_cups(good, good)[1].all()
+
+
 class TestSizeBound:
     def test_h2_refused_before_allocating(self, monkeypatch):
         def never(*args):

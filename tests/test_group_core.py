@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -381,6 +382,19 @@ class TestFrattiniQuotient:
             rank = row_space_basis(mat, p).shape[0]
             assert rank == len(chars)
             assert q.order == p ** len(chars)
+
+    @pytest.mark.parametrize("p", [65537, 1000003, 10000019])
+    def test_large_modulus_refused_at_once(self, p):
+        # G^p takes p multiplications: a prime past the exactness bound is
+        # refused before any of them
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exactness bound"):
+            frattini_p_quotient(cyclic_group(4), p)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_composite_refused(self):
+        with pytest.raises(ValueError, match="not prime"):
+            frattini_p_quotient(cyclic_group(4), 4)
 
 
 class TestSubgroup:

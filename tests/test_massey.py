@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from masseybrauer.catalog import builtin_group
-from masseybrauer.cochain_dga import Cochain, cup, differential, get_ring, restrict
+from masseybrauer.cochain_dga import Cochain, TreeD1Solver, cup, differential, get_ring, restrict
 from masseybrauer.group_core import Character, cyclic_group, kernel_of_characters
 from masseybrauer.massey import (
     DefiningSystem,
@@ -14,6 +16,7 @@ from masseybrauer.massey import (
     tilde,
     triple_massey_set,
 )
+from oracles import d1_solver_by_coboundary_matrix
 
 
 def chars_of(name, p):
@@ -200,6 +203,48 @@ class TestScanVanishing:
         assert [(e.triple, e.defined, e.contains_zero) for e in a.entries] == [
             (e.triple, e.defined, e.contains_zero) for e in b.entries
         ]
+
+
+class TestCupsOnGeneratorColumns:
+    """The scan and the defining systems hand the d^1 solver characters as
+    value tables with |G| rows, never a cup table with |G|^2 rows: both run
+    with `solve_many` patched to raise, and agree with the solver on the
+    whole matrix of d^1."""
+
+    @pytest.mark.parametrize(
+        "name,p", [("elab:2:2", 2), ("dihedral:8", 2), ("elab:3:2", 3), ("unipotent:2:3", 3)]
+    )
+    def test_no_square_cup_tables(self, name, p, monkeypatch):
+        g, ring = chars_of(name, p)
+        n, d = g.order, ring.basis(1).dim
+        chars = [ring.character_from_coords(np.asarray(c)) for c in itertools.product(range(p), repeat=d)]
+        m = len(chars)
+        # d c = -(chi_i u chi_j) solvable, on the whole matrix of d^1
+        vals = np.stack([c.values for c in chars])
+        cups = (vals[:, None, :, None] * vals[None, :, None, :]).reshape(m * m, n * n)
+        solvable = d1_solver_by_coboundary_matrix(g, p).solve_many(-cups.T % p)[1].reshape(m, m)
+
+        rows, real = [], TreeD1Solver.solve_cups
+
+        def recording(self, a, b):
+            rows.append((len(a), len(b)))
+            return real(self, a, b)
+
+        def never(self, b):
+            raise AssertionError("a 2-cochain table reached the d^1 solver")
+
+        monkeypatch.setattr(TreeD1Solver, "solve_many", never)
+        monkeypatch.setattr(TreeD1Solver, "solve_cups", recording)
+        report = scan_vanishing(g, p)
+        for entry, (i, j, k) in zip(report.entries, itertools.product(range(m), repeat=3)):
+            assert entry.defined == bool(solvable[i, j] and solvable[j, k])
+            ds = find_triple_defining_system(chars[i], chars[j], chars[k])
+            assert (ds is not None) == entry.defined
+            coset = triple_massey_set(chars[i], chars[j], chars[k])
+            assert entry.contains_zero == (coset is not None and contains_zero(coset))
+            if ds is not None:
+                assert ds.is_valid()
+        assert rows and set(rows) == {(n, n)}
 
 
 class TestRestrictionFunctoriality:

@@ -20,6 +20,7 @@ from masseybrauer.unipotent import (
 )
 from oracles import (
     cup_form_by_stacked_residues,
+    distance_two_by_pairs,
     prescribed_hom_by_backtracking,
     prescribed_hom_by_tree_system,
 )
@@ -332,7 +333,7 @@ class TestCupForm:
             values = np.stack([a.values, b.values], axis=1)
             at = values[rel.gens]
             form = not (rel.checks @ np.kron(at[:, 0], at[:, 1]) % p).any()
-            solve = bool(rel.solver.solve_many(rel.distance_two(values)[1])[1].all())
+            solve = bool(rel.solver.solve_many(distance_two_by_pairs(rel, values))[1].all())
             assert form == solve, (name, a.values.tolist(), b.values.tolist())
             verdicts.add(solve)
         assert verdicts == ({True, False} if rank else {True})
