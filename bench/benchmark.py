@@ -30,13 +30,17 @@ The decompose cases are classes c = sum_{i<=r} (a_i, x_i), r = 1, 2, 3,
 built as the `q-decompose` benchmark builds its catalogue (signed
 squarefree entries, even half of the time, the other entries with 1 or 2
 odd primes below 100), 30 for each number k = 1..8 of odd primes of a_1
-(seed 2014).  Each call is `decompose(c, a_list)` followed by
-`verify_certificate`; every certificate must verify, or the section exits
-with an error.  One untimed pass runs first, then each call is timed as
-the best of three.  Each line gives k, the number of classes, and the
-median and the largest call time in milliseconds.  A
-last line times `factorize` on 1000003 * 1000033, which trial-divides to
-its bound of 10^6 before raising `FactorBoundExceeded` (best of three).
+(seed 2014).  Each class is decomposed by `decompose(c, a_list)`, and the
+certificate checked by `verify_certificate`; every certificate must verify,
+or the section exits with an error.  One untimed pass runs first, and one
+more, also untimed, counts the calls of `brauer_q.factorize` and
+`brauer_q._ramified`.  Then each of the two calls is timed per class as the
+best of three.  Each line gives k, the number of classes, the median
+`decompose` and the median `verify_certificate` time per class in
+milliseconds, and the mean number of `factorize` and of `_ramified` calls
+per class (decompose and verify together).  A last line times `factorize`
+on 1000003 * 1000033, which trial-divides to its bound of 10^6 before
+raising `FactorBoundExceeded` (best of three).
 
 The u-hom cases call `find_prescribed_hom` on every tuple of nonzero
 characters of the `massey-scan` groups (n = 2, 3, full and bar), on a
@@ -79,6 +83,7 @@ takes over a second.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -89,6 +94,7 @@ import time
 import numpy as np
 
 from masseybrauer._kernels import BLOCK_ROWS, PANEL, _pivot_loop, rref
+from masseybrauer import brauer_q, lgp_decompose
 from masseybrauer.brauer_q import HALF, BrauerClass2, FactorBoundExceeded, Place, factorize
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import coboundary_matrix, get_ring
@@ -189,18 +195,50 @@ def decompose_cases(per_k: int = 30, seed: int = 2014):
         yield k, cases
 
 
+@contextlib.contextmanager
+def _counting(names):
+    """Count the calls of brauer_q's functions `names`, through every binding
+    of them in brauer_q and lgp_decompose; restored on exit."""
+    counts = dict.fromkeys(names, 0)
+    saved = []
+    for name in names:
+        fn = getattr(brauer_q, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod in (brauer_q, lgp_decompose):
+            if getattr(mod, name, None) is fn:
+                saved.append((mod, name, fn))
+                setattr(mod, name, counted)
+    try:
+        yield counts
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+
+
 def bench_decompose() -> None:
-    def call(symbols, a_list):
-        ok, reason = verify_certificate(decompose(BrauerClass2(symbols), a_list))
+    def certify(symbols, a_list):
+        cert = decompose(BrauerClass2(symbols), a_list)
+        ok, reason = verify_certificate(cert)
         if not ok:
             sys.exit(f"decompose {symbols} over {a_list}: certificate rejected ({reason})")
+        return cert
 
-    print(f"{'k':>3s} {'classes':>8s} {'median_ms':>10s} {'max_ms':>9s}")
+    print(f"{'k':>3s} {'classes':>8s} {'decompose_ms':>13s} {'verify_ms':>10s} "
+          f"{'factorize':>10s} {'_ramified':>10s}")
     for k, cases in decompose_cases():
-        for case in cases:
-            call(*case)
-        ms = 1e3 * np.asarray([_time(lambda: call(*case)) for case in cases])
-        print(f"{k:3d} {len(ms):8d} {np.median(ms):10.3f} {ms.max():9.3f}")
+        certs = [certify(*case) for case in cases]
+        with _counting(["factorize", "_ramified"]) as counts:
+            for case in cases:
+                certify(*case)
+        dec = [_time(lambda: decompose(BrauerClass2(symbols), a_list))
+               for symbols, a_list in cases]
+        ver = [_time(lambda: verify_certificate(cert)) for cert in certs]
+        print(f"{k:3d} {len(cases):8d} {1e3 * np.median(dec):13.3f} {1e3 * np.median(ver):10.3f} "
+              f"{counts['factorize'] / len(cases):10.1f} {counts['_ramified'] / len(cases):10.1f}")
 
     def bound_path():
         try:

@@ -97,16 +97,47 @@ def _prime_place(q: int) -> Place:
     return place
 
 
+# `is_prime` trial-divides by the odd d with d^2 <= _TRIAL_LIMIT, which settles
+# every n below it; Miller-Rabin to the first 13 prime bases settles the rest
+# below _MILLER_RABIN_LIMIT (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017): the least strong pseudoprime to
+# all 13 bases is that limit)
+_TRIAL_LIMIT = 10**6
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n below 3.3 * 10^24, and for any n with a factor
+    up to 1000; any other n raises ValueError rather than guess."""
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
+    top = n if n < _TRIAL_LIMIT else _TRIAL_LIMIT
     d = 3
-    while d * d <= n:
+    while d * d <= top:
         if n % d == 0:
             return False
         d += 2
+    if n < _TRIAL_LIMIT:
+        return True
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the deterministic primality bound {_MILLER_RABIN_LIMIT}"
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s t with t odd
+    t = (n - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
     return True
 
 
@@ -142,6 +173,18 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
             )
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _factorization(n: int, factors: dict[int, dict[int, int]]) -> dict[int, int]:
+    """The factorization of |n| from the table `factors` (keyed by |n|),
+    entered there by `factorize` on a miss.  Every entry of a table must be
+    a proved factorization: `factorize`'s, or one checked as in
+    `lgp_decompose.realize_as_cup`."""
+    key = abs(n)
+    f = factors.get(key)
+    if f is None:
+        f = factors[key] = factorize(key)
+    return f
 
 
 def _val_unit(n: int, q: int) -> tuple[int, int]:
@@ -287,15 +330,13 @@ class BrauerClass2:
     def local_invariants(self) -> dict[Place, Fraction]:
         """Map from places to nonzero invariants (each 1/2), in place order;
         empty for the trivial class.  A place carries 1/2 iff an odd number
-        of the symbols ramify there."""
+        of the symbols ramify there.  Computed once per class, with a fresh
+        factor table: each distinct |entry| is factored once.
+        (`lgp_decompose.decompose` does not call this: it derives the same
+        places with `_odd_places` on the table it shares across its
+        stages.)"""
         if self._invariants is None:
-            factors: dict[int, dict[int, int]] = {}
-            places: set[int] = set()
-            for s in self.symbols:
-                for n in (s.a, s.b):
-                    if n not in factors:
-                        factors[n] = factorize(n)
-                places ^= _ramified(s.a, factors[s.a], s.b, factors[s.b])
+            places = _odd_places(self.symbols, {})
             self._invariants = {_place(q): HALF for q in sorted(places)}
         return dict(self._invariants)
 
@@ -312,6 +353,19 @@ class BrauerClass2:
         return f"BrauerClass2({[(s.a, s.b) for s in self.symbols]})"
 
 
+def _odd_places(
+    symbols: Iterable[QuaternionSymbol], factors: dict[int, dict[int, int]]
+) -> set[int]:
+    """The places, as ints (0 for the real place), where an odd number of the
+    symbols ramify: the support of their sum.  Factorizations are read from
+    and entered in `factors` (see `_factorization`)."""
+    places: set[int] = set()
+    for s in symbols:
+        a, b = s.a, s.b
+        places ^= _ramified(a, _factorization(a, factors), b, _factorization(b, factors))
+    return places
+
+
 def local_invariants(c: BrauerClass2) -> dict[Place, Fraction]:
     return c.local_invariants()
 
@@ -326,13 +380,22 @@ def splits_in_multiquadratic(c: BrauerClass2, a_list: Iterable[int]) -> bool:
     place carrying invariant 1/2, some a_i is a local nonsquare (so every
     completion of the field upstairs has even degree and kills the
     invariant)."""
+    a_list = _square_roots(a_list)
+    return _splits_at(c.support(), a_list)
+
+
+def _square_roots(a_list: Iterable[int]) -> list[int]:
+    """a_list as a list, refusing zero: the radicands of a multiquadratic
+    field."""
     a_list = list(a_list)
     if any(a == 0 for a in a_list):
         raise ValueError("square roots of zero not allowed")
-    for v in c.support():
-        if all(is_local_square(a, v) for a in a_list):
-            return False
-    return True
+    return a_list
+
+
+def _splits_at(support: Iterable[Place], a_list: list[int]) -> bool:
+    """True iff at every place of `support` some a_i is a local nonsquare."""
+    return all(any(not is_local_square(a, v) for a in a_list) for v in support)
 
 
 def reciprocity_holds(a: int, b: int) -> bool:

@@ -21,14 +21,15 @@ from .brauer_q import (
     HALF,
     BrauerClass2,
     Place,
+    _factorization,
+    _odd_places,
     _place,
     _prime_place,
     _ramified,
-    classes_equal,
-    factorize,
+    _splits_at,
+    _square_roots,
     is_local_square,
     is_prime,
-    splits_in_multiquadratic,
 )
 
 
@@ -101,6 +102,7 @@ def realize_as_cup(
     target: dict[Place, Fraction],
     a: int,
     aux_prime_bound: int = DEFAULT_AUX_PRIME_BOUND,
+    factors: dict[int, dict[int, int]] | None = None,
 ) -> int:
     """An integer x with local invariants of (a, x) equal to `target` exactly.
 
@@ -116,6 +118,14 @@ def realize_as_cup(
     least solution under (d, sign) is picked from the coset c0 + kernel.  The
     chosen x is checked once by re-evaluating (a, x) at every place where it
     can ramify, from the factorization of x that the solve produced.
+
+    `factors` is a factor table keyed by |n| (a fresh one when omitted):
+    a's factorization is read from it, or factored and entered, and x's is
+    entered once proved.  That proof is the product of its keys equal to |x|,
+    with every key prime: 2, a prime of a, a target place, or an auxiliary w
+    that `is_prime` accepted.  `decompose` passes its per-call table, so the
+    fold of x into the leading target and the final check reuse x's
+    factorization instead of factoring x again.
     """
     target = {v: f for v, f in target.items() if f}
     if any(f != HALF for f in target.values()):
@@ -130,7 +140,9 @@ def realize_as_cup(
     if not target:
         return 1
 
-    fa = factorize(a)
+    if factors is None:
+        factors = {}
+    fa = _factorization(a, factors)
     wanted = {v.q for v in target}  # places as ints: 0 is the real place
     pool = sorted({2, *fa, *wanted} - {0})
     index = {q: i for i, q in enumerate([0] + pool)}
@@ -188,6 +200,7 @@ def realize_as_cup(
         fx = {q: 1 for q in pool if d % q == 0} | fw
         if math.prod(fx) != abs(x) or _ramified(a, fa, x, fx) != wanted:
             raise RuntimeError(f"internal error: ({a}, {x}) misses its target")
+        factors[abs(x)] = fx
         return x
     raise SearchBoundExceeded(
         f"no x found with auxiliary primes below {aux_prime_bound}"
@@ -222,14 +235,28 @@ def decompose(
     aux_prime_bound: int = DEFAULT_AUX_PRIME_BOUND,
 ) -> DecompositionCertificate:
     """Decompose c as sum (a_i, x_i); raises NonSplittingError when c does
-    not split over the multiquadratic extension of the a_i."""
+    not split over the multiquadratic extension of the a_i.
+
+    One factor table, local to the call and keyed by |n|, serves every
+    stage: c's invariants (derived here from c's symbols, not read from c),
+    `realize_as_cup`'s a, the fold of each x_i into the leading target and
+    the output class of the final check.  Each distinct |n| is factored at
+    most once; the x_i are never factored, since `realize_as_cup` enters the
+    factorizations it proved.  The emitted certificate passes the exact check
+    of `verify_certificate`, run on c's invariants derived above instead of
+    from scratch, which proves each x_i's factorization in the table again
+    (product and prime keys); a failure is an internal error.
+    """
     a_list = [int(a) for a in a_list]
     if not a_list:
         raise ValueError("need at least one entry")
-    if not splits_in_multiquadratic(c, a_list):
+    a_list = _square_roots(a_list)
+    factors: dict[int, dict[int, int]] = {}
+    places = _odd_places(c.symbols, factors)  # places as ints: 0 is the real place
+    support = [_place(q) for q in sorted(places)]
+    if not _splits_at(support, a_list):
         raise NonSplittingError("class does not split in the given extension")
     symbols = [(s.a, s.b) for s in c.symbols]
-    support = c.support()
     r = len(a_list)
 
     if not support:
@@ -263,17 +290,17 @@ def decompose(
     # where the (a_1, x) leg ramifies are folded into the leading target
     xs = [1] * r
     lead_target = {v.q for v in targets[0]}  # places as ints: 0 is the real place
-    f_lead = None
     for i in range(1, r):
         if targets[i]:
-            xs[i] = realize_as_cup(targets[i], adjusted[i], aux_prime_bound)
+            xs[i] = realize_as_cup(targets[i], adjusted[i], aux_prime_bound, factors)
             if adjusted[i] != ordered[i]:
-                if f_lead is None:
-                    f_lead = factorize(ordered[0])
-                lead_target ^= _ramified(ordered[0], f_lead, xs[i], factorize(xs[i]))
+                lead_target ^= _ramified(
+                    ordered[0], _factorization(ordered[0], factors),
+                    xs[i], _factorization(xs[i], factors),
+                )
     if lead_target:
         target = {_place(q): HALF for q in sorted(lead_target)}
-        xs[0] = realize_as_cup(target, ordered[0], aux_prime_bound)
+        xs[0] = realize_as_cup(target, ordered[0], aux_prime_bound, factors)
 
     # undo the reordering: position back[i] of the ordered lists is entry i
     back = sorted(range(r), key=order.__getitem__)
@@ -281,7 +308,7 @@ def decompose(
         symbols, a_list, [xs[j] for j in back], v0, [adjusted[j] for j in back],
         [parts[j] for j in back], [t_par[j] for j in back], order,
     )
-    ok, reason = verify_certificate(cert)
+    ok, reason = _check(cert, factors, places)
     if not ok:
         raise RuntimeError(f"internal error: emitted certificate invalid ({reason})")
     return cert
@@ -302,7 +329,23 @@ def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
     recorded) a permutation, a'_lead = a_lead and each a'_i equal to a_i or
     a_lead a_i, and v0 an odd prime outside the support, coprime to every a_i,
     at which every a'_i is a local nonsquare.
+
+    Each call derives the input and output invariants with its own fresh
+    factor table, so each distinct |n| of the symbols, the a_i and the x_i is
+    factored once, by `factorize`, and nothing is reused across calls.
     """
+    return _check(cert, {})
+
+
+def _check(
+    cert: DecompositionCertificate,
+    factors: dict[int, dict[int, int]],
+    places: set[int] | None = None,
+) -> tuple[bool, str]:
+    """The checks of `verify_certificate`, with factorizations read from and
+    entered in `factors`.  `places` are the input class's invariants as ints
+    (0 is the real place) when the caller has derived them; else they are
+    derived here from the certificate's symbols."""
     r = len(cert.a_list)
     records = {"x_list": cert.x_list, "partition": cert.partition,
                "t_parities": cert.t_parities}
@@ -313,8 +356,9 @@ def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
             return False, f"{name} has {len(values)} entries, a_list {r}"
     if cert.order and sorted(cert.order) != list(range(r)):
         return False, "order is not a permutation of the entries"
-    c = cert.input_class()
-    support = set(c.support())
+    if places is None:
+        places = _odd_places(cert.input_class().symbols, factors)
+    support = {_place(q) for q in places}
     claimed = [v for part in cert.partition for v in part]
     if len(claimed) != len(set(claimed)):
         return False, "partition pieces overlap"
@@ -353,6 +397,13 @@ def verify_certificate(cert: DecompositionCertificate) -> tuple[bool, str]:
             return False, "recorded parity disagrees with the partition"
         if (len(part) + t) % 2:
             return False, "per-entry target violates reciprocity"
-    if not classes_equal(c, cert.output_class()):
+    out = cert.output_class()
+    for x in cert.x_list:
+        # a table may hold x's factorization from realize_as_cup: prove it
+        # again, without trial division
+        fx = _factorization(x, factors)
+        if math.prod(q**e for q, e in fx.items()) != abs(x) or not all(map(is_prime, fx)):
+            return False, f"{fx} is not the factorization of {x}"
+    if _odd_places(out.symbols, factors) != places:
         return False, "local invariants of the output differ from the input"
     return True, "ok"

@@ -1,4 +1,5 @@
 import ast
+import math
 import pickle
 import random
 
@@ -16,6 +17,7 @@ from masseybrauer.brauer_q import (
     factorize,
     hilbert_symbol,
     is_local_square,
+    is_prime,
     ramified_places,
     reciprocity_holds,
     splits_in_multiquadratic,
@@ -129,6 +131,75 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _strong_probable_prime(n, b):
+    """The Miller-Rabin test of odd n > 2 to the single base b."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(b, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_10_9(self):
+        rng = random.Random(24)
+        numbers = list(range(-3, 3000)) + [rng.randrange(10**9) for _ in range(1500)]
+        # products of two primes above the trial-division range, which only
+        # Miller-Rabin can tell apart from primes, and primes of that size
+        primes = [q for q in range(1009, 31607, 2) if _is_prime_by_trial_division(q)]
+        numbers += [rng.choice(primes) * rng.choice(primes) for _ in range(300)]
+        numbers += [q for q in primes if q > 30000]
+        numbers += [10**6 - 1, 10**6, 10**6 + 1, 10**6 + 3, 999983, 999983 * 1009]
+        for n in numbers:
+            assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+    @pytest.mark.parametrize(
+        "n, bases",
+        [
+            (3215031751, (2, 3, 5, 7)),
+            (2152302898747, (2, 3, 5, 7, 11)),
+            (3474749660383, (2, 3, 5, 7, 11, 13)),
+            (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+        ],
+    )
+    def test_strong_pseudoprimes(self, n, bases):
+        # each fools Miller-Rabin to these bases, but not to all 13
+        assert all(_strong_probable_prime(n, b) for b in bases)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 825265])
+    def test_carmichael_numbers(self, n):
+        assert all(pow(b, n - 1, n) == 1 for b in range(2, 50) if math.gcd(b, n) == 1)
+        assert not is_prime(n)
+
+    def test_large_prime(self):
+        q = 1000000000000000003
+        assert is_prime(q) and not is_prime(3 * q)
+        assert not is_prime(1000003 * 1000033)  # no factor below 10^6
+        assert Place.prime(q).q == q
+
+    def test_beyond_the_deterministic_bound(self):
+        limit = brauer_q._MILLER_RABIN_LIMIT
+        # the limit itself is the least strong pseudoprime to all 13 bases
+        assert all(_strong_probable_prime(limit, b) for b in brauer_q._MILLER_RABIN_BASES)
+        assert limit == 1287836182261 * 2575672364521
+        for n in (limit, 2**89 - 1):
+            with pytest.raises(ValueError, match="deterministic primality bound"):
+                is_prime(n)
+        with pytest.raises(ValueError, match="deterministic primality bound"):
+            Place.prime(2**89 - 1)
+        # a factor found by trial division settles n at any size
+        assert not is_prime(2**100) and not is_prime(3 * (2**89 - 1))
 
 
 class TestHilbertSymbol:

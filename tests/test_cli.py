@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,15 @@ class TestQCommands:
             capsys, ["q", "hilbert", "--a", "-1", "--b", "-1", "--place", "inf"]
         )
         assert code == 0 and data == {"symbol": -1}
+
+    def test_hilbert_at_a_large_prime(self, capsys):
+        # the place is checked prime by Miller-Rabin, not by trial division
+        start = time.perf_counter()
+        code, data = run_json(
+            capsys, ["q", "hilbert", "--a", "3", "--b", "5", "--place", "1000000000000000003"]
+        )
+        assert code == 0 and data == {"symbol": 1}
+        assert time.perf_counter() - start < 0.3
 
     def test_invariants(self, capsys):
         code, data = run_json(

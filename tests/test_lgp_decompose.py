@@ -2,10 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+from masseybrauer import brauer_q, lgp_decompose
 from masseybrauer.brauer_q import (
     HALF,
     REAL,
@@ -392,3 +396,149 @@ class TestCatalogueDigest:
             ])
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "df33f971443c9e05f2a9b7aa2803c66283de6217837928d73f9bc893698b4614"
+
+
+def _fresh_prime(a):
+    """The least prime q > 100 at which a is a local nonsquare: (a, q)
+    ramifies at q, and no catalogue entry has q as a factor."""
+    return next(q for q in range(101, 10**4, 2)
+                if is_prime(q) and not is_local_square(a, Place.prime(q)))
+
+
+# the golden class, and catalogue classes whose decomposition calls
+# realize_as_cup at least once
+_MUTATED_CASES = [([(6, 5)], [2, 3])] + [
+    (symbols, a_list) for symbols, a_list in _q_catalogue(11)[::10]
+    if not BrauerClass2(symbols).is_trivial()
+]
+_INVALID = r"^internal error: emitted certificate invalid \("
+
+
+class TestSharedCheck:
+    """`decompose` checks its certificate with `verify_certificate`'s body on
+    the invariants and factor table it built itself.  Each mutation below
+    breaks one input of that check, and the check must catch it."""
+
+    @pytest.mark.parametrize("symbols, a_list", _MUTATED_CASES)
+    def test_x_times_a_fresh_prime_rejected(self, monkeypatch, symbols, a_list):
+        # the first x that realize_as_cup returns is multiplied by a fresh
+        # prime q: the output class gains (a, q), which ramifies at q alone
+        # among the places of the input
+        realize = lgp_decompose.realize_as_cup
+        calls = []
+
+        def first_times_q(target, a, bound, factors):
+            x = realize(target, a, bound, factors)
+            calls.append(a)
+            return x * _fresh_prime(a) if len(calls) == 1 else x
+
+        monkeypatch.setattr(lgp_decompose, "realize_as_cup", first_times_q)
+        with pytest.raises(RuntimeError, match=_INVALID):
+            decompose(BrauerClass2(symbols), a_list)
+        assert calls
+
+    @pytest.mark.parametrize("symbols, a_list", _MUTATED_CASES)
+    def test_wrong_factorization_in_the_table_rejected(self, monkeypatch, symbols, a_list):
+        # the x_i are right, but the table claims that the largest is a
+        # fresh prime q
+        check = lgp_decompose._check
+
+        def misfactored(cert, factors, places):
+            i = max(range(len(cert.x_list)), key=lambda i: abs(cert.x_list[i]))
+            factors[abs(cert.x_list[i])] = {_fresh_prime(cert.a_list[i]): 1}
+            return check(cert, factors, places)
+
+        monkeypatch.setattr(lgp_decompose, "_check", misfactored)
+        with pytest.raises(RuntimeError, match=_INVALID):
+            decompose(BrauerClass2(symbols), a_list)
+
+    def test_composite_key_in_the_table_rejected(self, monkeypatch):
+        # a composite x_i claimed prime: the product of the claim is right
+        check = lgp_decompose._check
+        tested = 0
+        for symbols, a_list in _q_catalogue(11):
+            cert = decompose(BrauerClass2(symbols), a_list)
+            composite = [x for x in cert.x_list if abs(x) > 1 and not is_prime(abs(x))]
+            if not composite:
+                continue
+
+            def misfactored(cert, factors, places, x=composite[0]):
+                factors[abs(x)] = {abs(x): 1}
+                return check(cert, factors, places)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lgp_decompose, "_check", misfactored)
+                with pytest.raises(RuntimeError, match=_INVALID):
+                    decompose(BrauerClass2(symbols), a_list)
+            tested += 1
+        assert tested > 20
+
+    @pytest.mark.parametrize("symbols, a_list", _MUTATED_CASES)
+    def test_altered_input_invariants_rejected(self, monkeypatch, symbols, a_list):
+        check = lgp_decompose._check
+
+        def altered(cert, factors, places):
+            return check(cert, factors, places ^ {0})  # the real place toggled
+
+        monkeypatch.setattr(lgp_decompose, "_check", altered)
+        with pytest.raises(RuntimeError, match=_INVALID):
+            decompose(BrauerClass2(symbols), a_list)
+
+    def test_unpatched_cases_decompose(self):
+        for symbols, a_list in _MUTATED_CASES:
+            assert verify_certificate(decompose(BrauerClass2(symbols), a_list)) == (True, "ok")
+
+
+_VERDICTS = """
+import pickle, sys
+from masseybrauer.lgp_decompose import verify_certificate
+print(repr([verify_certificate(cert) for cert in pickle.load(sys.stdin.buffer)]))
+"""
+
+
+class TestVerifyFromScratch:
+    def _certificates(self):
+        certs = []
+        for symbols, a_list in _q_catalogue(5)[::5]:
+            cert = decompose(BrauerClass2(symbols), a_list)
+            certs += [
+                cert,
+                dataclasses.replace(cert, x_list=[-x for x in cert.x_list]),
+                dataclasses.replace(cert, t_parities=[1 - t for t in cert.t_parities]),
+            ]
+        return certs
+
+    def test_each_distinct_entry_factored_once(self, monkeypatch):
+        certs = self._certificates()
+        factorize = brauer_q.factorize
+        calls = []
+
+        def counted(n, *args):
+            calls.append(abs(n))
+            return factorize(n, *args)
+
+        monkeypatch.setattr(brauer_q, "factorize", counted)
+        for i, cert in enumerate(certs):
+            calls.clear()
+            ok, _ = verify_certificate(cert)
+            assert len(calls) == len(set(calls))
+            entries = {abs(n) for pair in cert.symbols for n in pair}
+            entries |= {abs(n) for n in cert.a_list + cert.x_list}
+            assert set(calls) <= entries
+            if ok:
+                # the whole check ran: every entry factored, none taken from
+                # an earlier call
+                assert set(calls) == entries
+            assert ok or i % 3  # the honest certificates verify
+
+    def test_verdicts_independent_of_earlier_decompositions(self):
+        # verdicts in this process, after many decompositions, equal those
+        # of a fresh interpreter that has decomposed nothing
+        certs = self._certificates()
+        here = [verify_certificate(cert) for cert in certs]
+        fresh = subprocess.run(
+            [sys.executable, "-c", _VERDICTS], input=pickle.dumps(certs),
+            capture_output=True, check=True,
+        )
+        assert repr(here) == fresh.stdout.decode().strip()
+        assert {ok for ok, _ in here} == {True, False}
