@@ -33,11 +33,13 @@ odd primes below 100), 30 for each number k = 1..8 of odd primes of a_1
 (seed 2014).  Each class is decomposed by `decompose(c, a_list)`, and the
 certificate checked by `verify_certificate`; every certificate must verify,
 or the section exits with an error.  One untimed pass runs first, and one
-more, also untimed, counts the calls of `brauer_q.factorize` and
-`brauer_q._ramified`.  Then each of the two calls is timed per class as the
-best of three.  Each line gives k, the number of classes, the median
-`decompose` and the median `verify_certificate` time per class in
-milliseconds, and the mean number of `factorize` and of `_ramified` calls
+more, also untimed, counts the calls of `brauer_q.factorize`,
+`brauer_q._ramified` and `brauer_q.is_local_square`.  Then each of the two
+calls is timed per class as the best of three, and so is the time spent
+inside `realize_as_cup` during one `decompose` (its calls summed).  Each
+line gives k, the number of classes, the median `decompose`,
+`verify_certificate` and `realize_as_cup` time per class in milliseconds,
+and the mean number of `factorize`, `_ramified` and `is_local_square` calls
 per class (decompose and verify together).  A last line times `factorize`
 on 1000003 * 1000033, which trial-divides to its bound of 10^6 before
 raising `FactorBoundExceeded` (best of three).
@@ -219,6 +221,32 @@ def _counting(names):
             setattr(mod, name, fn)
 
 
+@contextlib.contextmanager
+def _realize_timer():
+    """Yields spent(fn): runs fn and returns the seconds spent inside
+    `lgp_decompose.realize_as_cup` during it; restored on exit."""
+    fn = lgp_decompose.realize_as_cup
+    total = [0.0]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            total[0] += time.perf_counter() - t0
+
+    def spent(run):
+        total[0] = 0.0
+        run()
+        return total[0]
+
+    lgp_decompose.realize_as_cup = timed
+    try:
+        yield spent
+    finally:
+        lgp_decompose.realize_as_cup = fn
+
+
 def bench_decompose() -> None:
     def certify(symbols, a_list):
         cert = decompose(BrauerClass2(symbols), a_list)
@@ -227,18 +255,23 @@ def bench_decompose() -> None:
             sys.exit(f"decompose {symbols} over {a_list}: certificate rejected ({reason})")
         return cert
 
+    counted = ["factorize", "_ramified", "is_local_square"]
     print(f"{'k':>3s} {'classes':>8s} {'decompose_ms':>13s} {'verify_ms':>10s} "
-          f"{'factorize':>10s} {'_ramified':>10s}")
+          f"{'realize_ms':>11s} " + " ".join(f"{name:>15s}" for name in counted))
     for k, cases in decompose_cases():
         certs = [certify(*case) for case in cases]
-        with _counting(["factorize", "_ramified"]) as counts:
+        with _counting(counted) as counts:
             for case in cases:
                 certify(*case)
         dec = [_time(lambda: decompose(BrauerClass2(symbols), a_list))
                for symbols, a_list in cases]
         ver = [_time(lambda: verify_certificate(cert)) for cert in certs]
+        with _realize_timer() as spent:
+            real = [min(spent(lambda: decompose(BrauerClass2(symbols), a_list))
+                        for _ in range(3)) for symbols, a_list in cases]
         print(f"{k:3d} {len(cases):8d} {1e3 * np.median(dec):13.3f} {1e3 * np.median(ver):10.3f} "
-              f"{counts['factorize'] / len(cases):10.1f} {counts['_ramified'] / len(cases):10.1f}")
+              f"{1e3 * np.median(real):11.3f} "
+              + " ".join(f"{counts[name] / len(cases):15.1f}" for name in counted))
 
     def bound_path():
         try:

@@ -221,23 +221,73 @@ def _ramified(
         beta = fb.get(q, 0)
         if q == 2:
             u, w = a >> alpha, b >> beta  # exact: 2^alpha divides a
-            eps_u = ((u - 1) // 2) % 2
-            eps_w = ((w - 1) // 2) % 2
-            om_u = ((u * u - 1) // 8) % 2
-            om_w = ((w * w - 1) // 8) % 2
-            e = eps_u * eps_w + alpha * om_w + beta * om_u
+            # eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2
+            e = u >> 1 & w >> 1
+            if alpha & 1 and w & 7 in (3, 5):
+                e += 1
+            if beta & 1 and u & 7 in (3, 5):
+                e += 1
         else:
             # alpha beta (q - 1)/2, plus beta times the Legendre bit of the
             # unit of a, plus alpha times that of the unit of b
-            half = (q - 1) // 2
-            e = alpha * beta * half
-            if beta % 2:
-                e += pow(a // q**alpha % q, half, q) != 1
-            if alpha % 2:
-                e += pow(b // q**beta % q, half, q) != 1
-        if e % 2:
+            half = q >> 1
+            e = alpha & beta & half
+            if beta & 1:
+                e += pow(a // q**alpha if alpha else a, half, q) != 1
+            if alpha & 1:
+                e += pow(b // q**beta if beta else b, half, q) != 1
+        if e & 1:
             out.add(q)
     return out
+
+
+def _column_masks(a: int, fa: dict[int, int], pool: list[int]):
+    """The places of P = {inf} + pool where (a, b) ramifies, as a function of
+    b: a bitmask with bit 0 for the real place and bit j for pool[j - 1].  fa
+    is the factorization of a, pool a list of distinct primes that holds
+    every prime of a, and b is -1, 1, a prime of pool or a prime coprime to
+    a.  The same residue formulas as `_ramified`, read off one table of a's
+    local data, built here once: its sign, v_2(a) with eps and omega of its
+    2-adic unit, and at each odd prime q of pool the bit of (a, q) at q
+    (v_q(a) (q - 1)/2 plus the Legendre bit of a's unit).  At an odd prime
+    p of pool other than b, (a, b) ramifies iff v_p(a) is odd and b is a
+    nonsquare mod p: one Legendre power per prime of a of odd valuation."""
+    negative = 1 if a < 0 else 0
+    alpha = fa.get(2, 0)
+    u = a >> alpha
+    eps_u, om_u = u >> 1 & 1, u & 7 in (3, 5)
+    # the 2-adic bit depends on b mod 8 only: eps(u) eps(b) + v_2(a) omega(b)
+    # for odd b, and omega(u) for b = 2
+    two = [0] * 8
+    own: dict[int, int] = {}  # the bit at b itself, for b an odd prime of pool
+    odd: list[tuple[int, int, int]] = []  # (p, (p - 1)/2, bit) with v_p(a) odd
+    for j, q in enumerate(pool, 1):
+        bit = 1 << j
+        if q == 2:
+            for r in (1, 3, 5, 7):
+                om_r = r in (3, 5)
+                if (eps_u & r >> 1) + (alpha & om_r) & 1:
+                    two[r] = bit
+            if om_u:
+                two[2] = bit
+            continue
+        v = fa.get(q, 0)
+        half = q >> 1
+        e = (v & half) + (pow(a // q**v if v else a, half, q) != 1)
+        own[q] = bit if e & 1 else 0
+        if v & 1:
+            odd.append((q, half, bit))
+
+    def column(b: int) -> int:
+        m = own.get(b, 0) | two[b & 7]
+        if b < 0:
+            m |= negative
+        for p, half, bit in odd:
+            if p != b and pow(b, half, p) != 1:
+                m |= bit
+        return m
+
+    return column
 
 
 def _place(q: int) -> Place:

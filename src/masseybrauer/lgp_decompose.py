@@ -21,6 +21,7 @@ from .brauer_q import (
     HALF,
     BrauerClass2,
     Place,
+    _column_masks,
     _factorization,
     _odd_places,
     _place,
@@ -113,11 +114,14 @@ def realize_as_cup(
     Hilbert symbol is bimultiplicative, so on the places P = {inf} + pool the
     invariants of (a, sign * d * w) are the F_2 sum of the bitmasks of
     (a, -1), (a, q) for q | d and (a, w).  At w they vanish iff a is a square
-    mod w, and at every other place they vanish.  One elimination of the
-    |pool| + 1 columns serves every w; each w then costs one solve, and the
-    least solution under (d, sign) is picked from the coset c0 + kernel.  The
-    chosen x is checked once by re-evaluating (a, x) at every place where it
-    can ramify, from the factorization of x that the solve produced.
+    mod w, and at every other place they vanish.  These column bitmasks are
+    read off one table of a's local data on P (`brauer_q._column_masks`),
+    built once per call, so a column costs one Legendre power per prime of a
+    of odd valuation.  One elimination of the |pool| + 1 columns serves every
+    w; each w then costs one solve, and the least solution under (d, sign) is
+    picked from the coset c0 + kernel.  The chosen x is checked once through
+    `_ramified`, by re-evaluating (a, x) at every place where it can ramify,
+    from the factorization of x that the solve produced.
 
     `factors` is a factor table keyed by |n| (a fresh one when omitted):
     a's factorization is read from it, or factored and entered, and x's is
@@ -146,11 +150,7 @@ def realize_as_cup(
     wanted = {v.q for v in target}  # places as ints: 0 is the real place
     pool = sorted({2, *fa, *wanted} - {0})
     index = {q: i for i, q in enumerate([0] + pool)}
-
-    def mask(b: int, fb: dict[int, int]) -> int:
-        # bit index[q] set iff (a, b) ramifies at the place q of P; fb is the
-        # factorization of b
-        return sum(1 << index[q] for q in _ramified(a, fa, b, fb, pool))
+    column = _column_masks(a, fa, pool)  # bit index[q] for the place q of P
 
     # column 0 is the sign -1, column j >= 1 the pool prime pool[j - 1]; a
     # combination c is a bitmask over columns.  basis holds (pivot, value,
@@ -165,8 +165,8 @@ def realize_as_cup(
                 comb ^= bcomb
         return value, comb
 
-    for j, (b, fb) in enumerate([(-1, {})] + [(q, {q: 1}) for q in pool]):
-        value, comb = reduce(mask(b, fb), 1 << j)
+    for j, b in enumerate([-1] + pool):
+        value, comb = reduce(column(b), 1 << j)
         if value:
             basis.append((value.bit_length() - 1, value, comb))
             basis.sort(reverse=True)
@@ -186,8 +186,7 @@ def realize_as_cup(
                 yield w
 
     for w in auxiliary():
-        fw = {w: 1} if w > 1 else {}
-        rest, c0 = reduce(t ^ mask(w, fw), 0)
+        rest, c0 = reduce(t ^ column(w), 0)
         if rest:
             continue
         coset = [c0]
@@ -197,7 +196,9 @@ def realize_as_cup(
         x = (-1 if negative else 1) * d * w
         # every key of fx is prime, so fx is the factorization of x once its
         # product is |x|
-        fx = {q: 1 for q in pool if d % q == 0} | fw
+        fx = {q: 1 for q in pool if d % q == 0}
+        if w > 1:
+            fx[w] = 1
         if math.prod(fx) != abs(x) or _ramified(a, fa, x, fx) != wanted:
             raise RuntimeError(f"internal error: ({a}, {x}) misses its target")
         factors[abs(x)] = fx
@@ -358,13 +359,12 @@ def _check(
         return False, "order is not a permutation of the entries"
     if places is None:
         places = _odd_places(cert.input_class().symbols, factors)
-    support = {_place(q) for q in places}
-    claimed = [v for part in cert.partition for v in part]
+    claimed = [v.q for part in cert.partition for v in part]  # 0 is the real place
     if len(claimed) != len(set(claimed)):
         return False, "partition pieces overlap"
-    if set(claimed) != support:
+    if set(claimed) != places:
         return False, "partition does not cover the support"
-    if support and (cert.v0 is None or cert.adjusted_a_list is None):
+    if places and (cert.v0 is None or cert.adjusted_a_list is None):
         return False, "v0 or adjusted_a_list missing for a nontrivial class"
     ref = cert.a_list
     if cert.adjusted_a_list is not None:
@@ -382,7 +382,7 @@ def _check(
         v0 = cert.v0
         if not v0.finite or v0.q == 2:
             return False, f"v0 = {v0} is not an odd prime"
-        if v0 in support:
+        if v0.q in places:
             return False, f"v0 = {v0} lies in the support"
         if any(a % v0.q == 0 for a in cert.a_list):
             return False, f"v0 = {v0} divides an entry"

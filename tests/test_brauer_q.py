@@ -374,6 +374,46 @@ class TestRamifiedFromValuations:
             ramified_places(huge, -1)
 
 
+class TestColumnMasks:
+    """`brauer_q._column_masks` reads the columns of `realize_as_cup` off one
+    table of a's local data; each must equal `_ramified` over P = {inf} + pool
+    encoded as a bitmask."""
+
+    ODD = [q for q in range(3, 60) if is_prime(q)]
+
+    @staticmethod
+    def _encoded(a, fa, b, pool):
+        fb = {abs(b): 1} if abs(b) > 1 else {}
+        index = {q: j for j, q in enumerate([0] + pool)}
+        return sum(1 << index[q] for q in brauer_q._ramified(a, fa, b, fb, pool))
+
+    def _entries(self, rng):
+        # valuations 0..3 at 2 and 1..3 at the odd primes of a, both signs
+        for _ in range(150):
+            a = rng.choice((1, -1)) * 2 ** rng.randint(0, 3)
+            for q in rng.sample(self.ODD, rng.randint(0, 4)):
+                a *= q ** rng.randint(1, 3)
+            yield a
+
+    def test_columns_and_auxiliaries_match_ramified(self):
+        rng = random.Random(25)
+        parities = set()
+        for a in self._entries(rng):
+            fa = factorize(a)
+            wanted = rng.sample([2] + self.ODD, rng.randint(0, 3))
+            pool = sorted({2, *fa, *wanted})
+            if rng.random() < 0.2 and 2 not in fa:
+                pool.remove(2)  # a pool without 2 has no 2-adic bit
+            column = brauer_q._column_masks(a, fa, pool)
+            auxiliary = [w for w in range(3, 200, 2) if is_prime(w) and w not in pool]
+            for b in [-1, 1] + pool + auxiliary:
+                assert column(b) == self._encoded(a, fa, b, pool), (a, pool, b)
+            parities.update((q, v % 2, v > 1) for q, v in fa.items() if q in (2, 3))
+        # the draw reaches both parities of the valuation, above 1 too, at 2
+        # and at an odd prime
+        assert {(2, 0, True), (2, 1, True), (3, 0, True), (3, 1, True)} <= parities
+
+
 class TestNumpyFree:
     @pytest.mark.parametrize("module", [brauer_q, lgp_decompose], ids=lambda m: m.__name__)
     def test_no_linear_algebra_imports(self, module):

@@ -131,9 +131,11 @@ def _random_entry(rng: random.Random, kind: str) -> int:
         return -1
     a = math.prod(rng.sample(ODD_PRIMES, rng.randint(1, 3)))
     if kind == "even":
-        a *= 2
+        a *= rng.choice((2, 2, 4, 8))  # valuation 1, 2 or 3 at 2
     if rng.random() < 0.15:
         a *= 9  # even valuation at 3: the pool keeps 3 as a prime of a
+    elif rng.random() < 0.15:
+        a *= 27  # valuation 3 at 3, or 4 when 3 divides a
     if kind == "negative" or rng.random() < 0.3:
         a = -a
     return a
@@ -150,6 +152,7 @@ class TestRealizeMatchesScan:
         places = [REAL, Place.prime(2)] + [Place.prime(q) for q in ODD_PRIMES]
         seen = {kind: 0 for kind in kinds}
         real = two = auxiliary = 0
+        deep = set()  # (at 2, valuation) for the valuations above 1
         while sum(seen.values()) < 320:
             kind = kinds[sum(seen.values()) % 4]
             a = _random_entry(rng, kind)
@@ -161,14 +164,18 @@ class TestRealizeMatchesScan:
             x = realize_as_cup(target, a)
             assert x == realize_by_scan(target, a), (a, target)
             seen[kind] += 1
+            fa = factorize(a)
+            deep.update((q == 2, fa.get(q, 0)) for q in fa if fa[q] > 1)
             real += REAL in target
             two += Place.prime(2) in target
             pool = {2, *factorize(a), *(v.q for v in target if v.finite)}
             auxiliary += any(q not in pool for q in factorize(x))
-        # the draw covers every kind of entry, both special places and
-        # targets that need an auxiliary prime w > 1
+        # the draw covers every kind of entry, both special places, targets
+        # that need an auxiliary prime w > 1, and valuations 2 and 3 at 2 and
+        # at an odd prime
         assert min(seen.values()) == 80
         assert real > 20 and two > 20 and auxiliary > 0
+        assert {(True, 2), (True, 3), (False, 2), (False, 3)} <= deep
 
     def test_auxiliary_prime_bound(self):
         # -194 = -2 * 97: no x built from -1, 2 and 97 alone works, so x
@@ -184,6 +191,15 @@ class TestRealizeMatchesScan:
         target = {Place.prime(3): HALF, Place.prime(43): HALF}
         x = realize_as_cup(target, a)
         assert BrauerClass2([(a, x)]).local_invariants() == target
+
+    def test_target_checks_before_factoring(self):
+        # a is never factored for an empty target, and a local square in
+        # the target is reported before a's factor bound
+        a = 1000003 * 1000033
+        assert realize_as_cup({}, a) == 1
+        assert realize_as_cup({Place.prime(3): 0}, a) == 1
+        with pytest.raises(NonSplittingError):
+            realize_as_cup({REAL: HALF, Place.prime(3): HALF}, a)
 
     def test_huge_entry_raises_factor_bound(self):
         # beyond trial division to 10**6: an explicit error, not a hang
@@ -292,6 +308,27 @@ class TestForgedStageRecords:
     def test_honest_certificate_ok(self, order):
         cert = dataclasses.replace(_golden_cert(), order=order)
         assert verify_certificate(cert) == (True, "ok")
+
+    def test_overlapping_pieces(self):
+        bad = dataclasses.replace(_golden_cert(), partition=[
+            [Place.prime(2), Place.prime(3)], [Place.prime(3)]])
+        assert verify_certificate(bad) == (False, "partition pieces overlap")
+
+    def test_partition_not_the_support(self):
+        for partition in ([[Place.prime(2)], []],  # 3 dropped
+                          [[Place.prime(2), Place.prime(3)], [REAL]]):  # inf added
+            bad = dataclasses.replace(_golden_cert(), partition=partition)
+            assert verify_certificate(bad) == (
+                False, "partition does not cover the support")
+
+    def test_support_with_the_real_place(self):
+        # (-1, -1) ramifies at inf and 2
+        cert = decompose(BrauerClass2([(-1, -1)]), [-1, 3])
+        assert cert.partition[0] == [REAL, Place.prime(2)]
+        assert verify_certificate(cert) == (True, "ok")
+        bad = dataclasses.replace(cert, partition=[[Place.prime(2)], [REAL]],
+                                  t_parities=[1, 1])
+        assert verify_certificate(bad) == (False, "3 is a local square at assigned place inf")
 
     def test_short_adjusted_list_and_partition(self):
         # zip would stop at the shorter list and skip entry 2
