@@ -2,9 +2,10 @@
 `realize_as_cup` by the number of odd primes of a, `decompose` with its
 certificate check by the number of odd primes of a_1, `find_prescribed_hom`
 by source group and target, cold H^1 + H^2 bases by group, and warm
-vanishing scans by group.
+vanishing scans by group, and `has_property` on every subspace of H^1 by
+group.
 
-Run as:  python3 bench/benchmark.py [rref] [rref-small] [realize] [decompose] [u-hom] [h2] [d1] [scan]
+Run as:  python3 bench/benchmark.py [rref] [rref-small] [realize] [decompose] [u-hom] [h2] [d1] [scan] [cup-res]
 (default: all)
 
 The rref cases are the degree-2 coboundary matrices of some builtin groups
@@ -24,7 +25,7 @@ The realize cases take a = +-(a product of k consecutive odd primes) for
 k = 6, 9, 12, 14 and two targets each: the first two primes of a, which
 sign * d realizes for a divisor d of the pool, and a pair of places that
 no such sign * d realizes, so x needs an auxiliary prime w.  Each line
-gives k, the target, x and the time.
+gives k, the target, x and the time per call in microseconds.
 
 The decompose cases are classes c = sum_{i<=r} (a_i, x_i), r = 1, 2, 3,
 built as the `q-decompose` benchmark builds its catalogue (signed
@@ -78,6 +79,17 @@ five more are timed.  Every call must find the known number of witnesses
 (0, 0, 104, 0, 0), or the section exits with an error.  Each line gives the
 group, p, the number of triples and of witnesses, the median and the
 largest call time in seconds, and the peak RSS of that process in MB.
+
+The cup-res cases call `has_property` once on every subspace of H^1 (one
+character list per subspace, its RREF rows; the zero subspace with an
+explicit p) for `elab:2:5`, `elab:2:6` and `elab:2:7` at p = 2 and
+`elab:3:3` at p = 3, in a new interpreter for each group.  The ring's H^1
+and H^2 bases and its cup table are built first, untimed.  Every group must
+give its known number of verdicts that hold (all at p = 2; at p = 3 only the
+zero subspace, whose K is G), or the section exits with an error.  Each line
+gives the group, p, the number of subspaces and of verdicts that hold, the
+time of the sweep in seconds (the calls only), the peak RSS in MB once the
+ring is built and at the end of the sweep.
 
 Every rref and realize time is the best of three calls, or one call when it
 takes over a second.
@@ -172,12 +184,12 @@ def bench_rref_small() -> None:
 
 
 def bench_realize() -> None:
-    print(f"{'k':>3s} {'target':>10s} {'x':>14s} {'seconds':>9s}")
+    print(f"{'k':>3s} {'target':>10s} {'x':>14s} {'us_per_call':>12s}")
     for k, a, target in realize_cases():
         x = realize_as_cup(target, a)
         t = _time(lambda: realize_as_cup(target, a))
         places = ",".join(str(v) for v in sorted(target))
-        print(f"{k:3d} {places:>10s} {x:14d} {t:9.4f}")
+        print(f"{k:3d} {places:>10s} {x:14d} {1e6 * t:12.1f}")
 
 
 def decompose_cases(per_k: int = 30, seed: int = 2014):
@@ -428,11 +440,66 @@ def bench_scan() -> None:
         print(f"{name:16s} {p:2d} {triples:>8s} {witnesses:>9s} {float(median):9.4f} {float(most):9.4f} {float(rss):8.1f}")
 
 
+# (group, p, subspaces of H^1, verdicts that hold)
+_CUP_RES = [
+    ("elab:2:5", 2, 374, 374), ("elab:2:6", 2, 2825, 2825), ("elab:2:7", 2, 29212, 29212),
+    ("elab:3:3", 3, 28, 1),
+]
+
+# a sweep in the child: prints subspaces, verdicts that hold, seconds, the
+# peak RSS in MB after the ring and after the sweep; exits 1 on a wrong count
+_CUP_RES_CHILD = """
+import itertools, resource, sys, time
+import numpy as np
+from masseybrauer.catalog import builtin_group
+from masseybrauer.cochain_dga import get_ring
+from masseybrauer.cup_restriction import has_property
+g, p, want = builtin_group(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+ring = get_ring(g, p)
+ring.cup_table()
+d = ring.basis(1).dim
+ring_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+chars = {v: ring.character_from_coords(np.asarray(v)) for v in itertools.product(range(p), repeat=d)}
+count = holds = 0
+spent = 0.0
+for k in range(d + 1):
+    for piv in itertools.combinations(range(d), k):
+        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in piv]
+        for vals in itertools.product(range(p), repeat=len(free)):
+            rows = np.zeros((k, d), dtype=np.int64)
+            rows[np.arange(k), list(piv)] = 1
+            for (i, j), v in zip(free, vals):
+                rows[i, j] = v
+            picked = [chars[tuple(r.tolist())] for r in rows]
+            t0 = time.perf_counter()
+            verdict = has_property(g, picked, p)
+            spent += time.perf_counter() - t0
+            count += 1
+            holds += verdict.holds
+if holds != want:
+    sys.exit(f"cup-res {sys.argv[1]}@{p}: {holds} of {count} hold, expected {want}")
+print(count, holds, spent, ring_mb, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def bench_cup_res() -> None:
+    print(f"{'group':16s} {'p':>2s} {'subspaces':>9s} {'holds':>6s} {'seconds':>9s} {'ring_mb':>8s} {'peak_mb':>8s}")
+    for name, p, count, want in _CUP_RES:
+        argv = [sys.executable, "-c", _CUP_RES_CHILD, name, str(p), str(want)]
+        run = subprocess.run(argv, capture_output=True, text=True)
+        if run.returncode:
+            sys.exit(run.stderr.strip() or f"cup-res {name}@{p} failed")
+        got, holds, t, ring_mb, rss = run.stdout.split()
+        if int(got) != count:
+            sys.exit(f"cup-res {name}@{p}: {got} subspaces, expected {count}")
+        print(f"{name:16s} {p:2d} {got:>9s} {holds:>6s} {float(t):9.3f} {float(ring_mb):8.1f} {float(rss):8.1f}")
+
+
 def main(sections: list[str]) -> None:
     benches = {
         "rref": bench_rref, "rref-small": bench_rref_small, "realize": bench_realize,
         "decompose": bench_decompose, "u-hom": bench_u_hom, "h2": bench_h2, "d1": bench_d1,
-        "scan": bench_scan,
+        "scan": bench_scan, "cup-res": bench_cup_res,
     }
     for name in sections or list(benches):
         benches[name]()

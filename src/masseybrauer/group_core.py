@@ -317,9 +317,11 @@ class Subgroup:
         parent by member tuple, so every Subgroup with the same members shares
         one group object; the whole group is the parent itself.
         """
-        return self.parent.cached(("subgroup", self.members), self._build_group)
+        return self.parent.cached(("subgroup", self.members), self.build_group)
 
-    def _build_group(self) -> tuple[FiniteGroup, np.ndarray]:
+    def build_group(self) -> tuple[FiniteGroup, np.ndarray]:
+        """The pair of `as_group`, built afresh and not memoized: a proper
+        subgroup's group is freed with the caller's last reference."""
         emb = _freeze(np.asarray(self.members, dtype=np.int64))
         if self.is_whole_group():
             return self.parent, emb

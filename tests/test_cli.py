@@ -273,6 +273,20 @@ class TestExitCodes:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["dim"] == 1
 
+    def test_module_entry_point_matches_run(self, capsys):
+        # python -m masseybrauer.cli runs the command, as the console script does
+        argv = ["group", "cohomology", "--group", "elab:2:2", "--p", "2", "--degree", "2"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "masseybrauer.cli", *argv],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert run(argv) == 0
+        assert done.returncode == 0, done.stderr
+        assert done.stdout and done.stdout == capsys.readouterr().out.encode()
+
     def test_bad_char_length_is_1(self, capsys):
         code, data = run_json(
             capsys,
