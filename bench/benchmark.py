@@ -73,12 +73,16 @@ that are coboundaries, the time from the ring to the solutions (the group
 is built before the clock starts) and the peak RSS of that process in MB.
 
 The scan cases run `scan_vanishing` on `dihedral:16`@2, `unipotent:3:2`@2,
-`elab:3:3`@3, `elab:2:5`@2 and `elab:2:6`@2, in a new interpreter for each
-group.  One untimed call builds the ring, its cup table and the d1 solver;
-five more are timed.  Every call must find the known number of witnesses
-(0, 0, 104, 0, 0), or the section exits with an error.  Each line gives the
-group, p, the number of triples and of witnesses, the median and the
-largest call time in seconds, and the peak RSS of that process in MB.
+`elab:3:3`@3, `elab:2:5`@2, `elab:2:6`@2, `unipotent:2:3`@3, `elab:3:4`@3,
+`elab:2:7`@2 and `elab:3:5`@3, in a new interpreter for each group.  One
+untimed call builds the ring, its cup table and its trilinear form; five
+more are timed.  Every call must find the known number of witnesses (0, 0,
+104, 0, 0, 512, 320, 0, 968), or the section exits with an error.  Each
+line gives the group, p, the number of triples (read off the report's
+arrays) and of witnesses, the median and the largest call time in seconds,
+the peak RSS of that process in MB after those calls, and the median of
+three calls that also read the report's `entries` (not run above 2^20
+triples, whose entries take gigabytes).
 
 The cup-res cases call `has_property` once on every subspace of H^1 (one
 character list per subspace, its RREF rows; the zero subspace with an
@@ -405,11 +409,13 @@ def bench_d1() -> None:
 # (group, p, witnesses of the vanishing scan)
 _SCAN = [
     ("dihedral:16", 2, 0), ("unipotent:3:2", 2, 0), ("elab:3:3", 3, 104), ("elab:2:5", 2, 0),
-    ("elab:2:6", 2, 0),
+    ("elab:2:6", 2, 0), ("unipotent:2:3", 3, 512), ("elab:3:4", 3, 320), ("elab:2:7", 2, 0),
+    ("elab:3:5", 3, 968),
 ]
 
 # warm scans in the child: prints triples, witnesses, the median and the
-# largest time of five, peak RSS in MB; exits 1 on a wrong witness count
+# largest time of five, peak RSS in MB, then the median of three calls that
+# also read `entries` (- above 2^20 triples); exits 1 on a wrong witness count
 _SCAN_CHILD = """
 import resource, statistics, sys, time
 from masseybrauer.catalog import builtin_group
@@ -420,24 +426,39 @@ for call in range(6):
     report = None  # one report alive at a time
     t0 = time.perf_counter()
     report = scan_vanishing(g, p)
-    if call:  # the first call builds the ring, its cup table and the d1 solver
+    if call:  # the first call builds the ring, its cup table and its trilinear form
         times.append(time.perf_counter() - t0)
     if len(report.witnesses) != want:
         sys.exit(f"scan {sys.argv[1]}@{p}: {len(report.witnesses)} witnesses, expected {want}")
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(len(report.entries), want, statistics.median(times), max(times), rss)
+triples, with_entries = report.defined.size, []
+for call in range(3 if triples <= 1 << 20 else 0):
+    report = None
+    t0 = time.perf_counter()
+    report = scan_vanishing(g, p)
+    len(report.entries)
+    with_entries.append(time.perf_counter() - t0)
+print(triples, want, statistics.median(times), max(times), rss,
+      statistics.median(with_entries) if with_entries else "-")
 """
 
 
 def bench_scan() -> None:
-    print(f"{'group':16s} {'p':>2s} {'triples':>8s} {'witnesses':>9s} {'median_s':>9s} {'max_s':>9s} {'peak_mb':>8s}")
+    print(
+        f"{'group':16s} {'p':>2s} {'triples':>8s} {'witnesses':>9s} {'median_s':>9s} {'max_s':>9s}"
+        f" {'peak_mb':>8s} {'entries_s':>9s}"
+    )
     for name, p, want in _SCAN:
         argv = [sys.executable, "-c", _SCAN_CHILD, name, str(p), str(want)]
         run = subprocess.run(argv, capture_output=True, text=True)
         if run.returncode:
             sys.exit(run.stderr.strip() or f"scan {name}@{p} failed")
-        triples, witnesses, median, most, rss = run.stdout.split()
-        print(f"{name:16s} {p:2d} {triples:>8s} {witnesses:>9s} {float(median):9.4f} {float(most):9.4f} {float(rss):8.1f}")
+        triples, witnesses, median, most, rss, entries = run.stdout.split()
+        entries = entries if entries == "-" else f"{float(entries):.4f}"
+        print(
+            f"{name:16s} {p:2d} {triples:>8s} {witnesses:>9s} {float(median):9.4f} {float(most):9.4f}"
+            f" {float(rss):8.1f} {entries:>9s}"
+        )
 
 
 # (group, p, subspaces of H^1, verdicts that hold)

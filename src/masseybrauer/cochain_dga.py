@@ -456,9 +456,12 @@ class TreeD1Solver:
 
     These equations are d c = f on G x S where f(e, s) = f(e, e), as for
     every cocycle.  So `solve_many`, for any 2-cochains, checks d c = f at
-    every (g, h); `solve_cups`, for cups of characters, reads G x S only and
-    the relator solve decides: w = d c - f is then a cocycle that vanishes
-    at last arguments in S, hence everywhere (as in `_check_cocycles`)."""
+    every (g, h).  For a right-hand side known to be a cocycle, the values
+    at G x S and (e, e) suffice and the relator solve decides: w = d c - f
+    is then a cocycle that vanishes at last arguments in S, hence
+    everywhere (as in `_check_cocycles`).  `solve_cups` solves cups of
+    characters so, and `CohomologyRing.triple_form` the cocycles
+    phi_b u phi_c - sum_t T[b, c, t] r_t of the H^1 and H^2 bases."""
 
     def __init__(self, group: FiniteGroup, p: int, rel: Relators, h1: CohomologyBasis):
         self.mul, self.p, self.rel, self.h1 = group.mul, p, rel, h1
@@ -508,7 +511,7 @@ class TreeD1Solver:
         and f(e, e) = at_e[j], and the relator solve's ok flags."""
         p, rel, h1 = self.p, self.rel, self.h1
         own, rows = rel.relations(-at_s)
-        a, ok = rel.solver.solve_many(-rows.reshape(-1, at_s.shape[2]))
+        a, ok = rel.solver.solve_many(-rows.reshape(at_s.shape[0] * at_s.shape[1], at_s.shape[2]))
         c = (_dot(rel.paths, a) + own + at_e) % p
         return (c - (h1._z_t @ c[h1._lead].astype(np.float64)).astype(np.int64)) % p, ok
 
@@ -524,6 +527,7 @@ class CohomologyRing:
         self._basis: dict[int, CohomologyBasis] = {}
         self._d1_solver: TreeD1Solver | None = None
         self._cup_table: np.ndarray | None = None
+        self._triple_form: tuple[np.ndarray, np.ndarray] | None = None
 
     def d1_solver(self) -> TreeD1Solver:
         """Solver for d c = (given 2-cochain), c of degree 1."""
@@ -594,6 +598,45 @@ class CohomologyRing:
             coords = h2.coordinates_batch(flats.T).T.reshape(d, d, h2.dim)
             self._cup_table = _freeze(coords)
         return self._cup_table
+
+    def triple_form(self) -> np.ndarray:
+        """M[a, b, c] = the H^2 readout at the lead columns L of
+        phi_a u c_bc + c_ab u phi_c (d x d x d x dim H^2), where
+        d c_bc = phi_b u phi_c - sum_t T[b, c, t] r_t for the cup table T
+        and the H^2 representatives r_t; built once per cup table.
+
+        If chi_j u chi_k = 0, then C_jk = -sum_bc x_jb x_kc c_bc solves
+        d C_jk = -chi_j u chi_k, and the Massey representative
+        -(chi_i u C_jk + C_ij u chi_k) of a defined triple is trilinear in
+        the H^1 coordinates: sum_abc x_ia x_jb x_kc M[a, b, c].  The readout
+        E z[L] (`CohomologyBasis._to_coords`) is linear and exact on
+        cocycles, so the sum of the per-term readouts is the class of the
+        representative, which is a cocycle.
+
+        Each right-hand side is a cocycle, so c_bc is solved along the tree
+        from its values at G x S and (e, e) (`TreeD1Solver`), exactly.  As
+        the r_t are independent classes, the d^2 solves succeed iff every
+        entry of T is right: raises RuntimeError otherwise."""
+        table = self.cup_table()
+        if self._triple_form is None or self._triple_form[0] is not table:
+            h1, h2, solver = self.basis(1), self.basis(2), self.d1_solver()
+            n, d, dim, p = self.group.order, h1.dim, h2.dim, self.p
+            phis, gens, e = h1.rep_values, solver.rel.gens, self.group.identity
+            reps, t = h2.rep_values.reshape(dim, n, n), table.reshape(d * d, dim)
+            # phi_b u phi_c - sum_t T[b, c, t] r_t at (g, s), columns (b, c), and at (e, e)
+            at_s = (phis.T[:, None, :, None] * phis[:, gens].T[None, :, None, :]).reshape(n, len(gens), d * d)
+            at_s = at_s - reps[:, :, gens].transpose(1, 2, 0) @ t.T
+            c, ok = solver._solve(at_s % p, -(reps[:, e, e] @ t.T) % p)
+            if not ok.all():
+                raise RuntimeError("internal error: the cup table disagrees with d1-solvability")
+            c = c.reshape(n, d, d)
+            g, h = np.divmod(h2._lead, n)
+            # (phi_a u c_bc + c_ab u phi_c)(g, h) at (g, h) in L, last axis
+            c_g, c_h = c[g].transpose(1, 2, 0), c[h].transpose(1, 2, 0)
+            z = phis[:, g][:, None, None] * c_h + c_g[:, :, None] * phis[:, h]
+            m = ((z % p).reshape(d**3, len(g)).astype(np.float64) @ h2._to_coords.T).astype(np.int64) % p
+            self._triple_form = (table, _freeze(m.reshape(d, d, d, dim)))
+        return self._triple_form[1]
 
     def cup_span(self, chars: list[Character]) -> np.ndarray:
         """Echelon basis rows of sum_chi chi u H^1 in H^2 coordinates.

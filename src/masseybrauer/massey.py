@@ -4,14 +4,16 @@ and the vanishing-property scanner.
 A defining system of size n is a triangular array (c_ij) of 1-cochains,
 (1,n) absent, with d c_ij = ctilde_ij := -sum_r c_ir u c_(r+1)j.  The triple
 product is computed from ONE deterministic defining system plus the coset
-formula; exhaustive enumeration over all defining systems is provided as an
-independent cross-check (exponential, test use).
+formula; exhaustive enumeration over all defining systems is a test oracle
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,43 +125,6 @@ def contains_zero(coset: MasseyCoset) -> bool:
     return in_row_space(coset.representative, coset.indeterminacy, coset.p)
 
 
-def enumerate_triple_classes(
-    chi1: Character, chi2: Character, chi3: Character
-) -> set[tuple[int, ...]] | None:
-    """The set of classes [ctilde_13] over ALL defining systems, by direct
-    enumeration of every interior-entry choice.  Exponential; cross-check
-    oracle for the coset formula."""
-    g, p = _common(chi1, chi2, chi3)
-    ring = get_ring(g, p)
-    ds = find_triple_defining_system(chi1, chi2, chi3)
-    if ds is None:
-        return None
-    h2 = ring.basis(2)
-    n = g.order
-    # every valid interior entry = deterministic solution + element of Z^1,
-    # and Z^1 = span of the H^1 representatives (B^1 = 0)
-    z1 = ring.basis(1).rep_values
-    d = len(z1)
-    coeffs = np.asarray(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
-    u12 = (ds.entry(1, 2).flat()[None, :] + coeffs @ z1) % p
-    u23 = (ds.entry(2, 3).flat()[None, :] + coeffs @ z1) % p
-
-    v1 = chi1.values
-    v3 = chi3.values
-    # flattened tables of chi1 u c23 (per variant) and c12 u chi3 (per variant)
-    x = (v1[None, :, None] * u23[:, None, :]).reshape(len(u23), n * n) % p
-    y = (u12[:, :, None] * v3[None, None, :]).reshape(len(u12), n * n) % p
-
-    out: set[tuple[int, ...]] = set()
-    chunk = max(1, (1 << 22) // (len(u23) * n * n))
-    for s in range(0, len(u12), chunk):
-        blk = y[s : s + chunk]
-        flats = (-(x[None, :, :] + blk[:, None, :])) % p
-        coords = h2.coordinates_batch(flats.reshape(-1, n * n).T)
-        out.update(map(tuple, coords.T.tolist()))
-    return out
-
-
 @dataclass
 class ScanEntry:
     triple: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -167,94 +132,132 @@ class ScanEntry:
     contains_zero: bool
 
 
-@dataclass
+class Witness(NamedTuple):
+    """A defined triple whose Massey product misses 0."""
+
+    triple: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    defined = True
+    contains_zero = False
+
+
+@dataclass(eq=False)
 class ScanReport:
+    """The scan of every ordered triple (chi_i, chi_j, chi_k) of H^1, where
+    i, j, k index the m = p^h1_dim coordinate vectors in the order of
+    `itertools.product(range(p), repeat=h1_dim)` (0 is the zero character).
+    `defined` and `contains_zero` are read-only m x m x m bool arrays;
+    `entries` lists one ScanEntry per triple in that order, built on first
+    read.  `witnesses` and `holds` read the arrays only."""
+
     group: FiniteGroup
     p: int
-    entries: list[ScanEntry]
+    h1_dim: int
+    defined: np.ndarray
+    contains_zero: np.ndarray
+
+    def _coords(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(range(self.p), repeat=self.h1_dim))
+
+    @cached_property
+    def entries(self) -> list[ScanEntry]:
+        return [
+            ScanEntry(triple, is_defined, has_zero)
+            for triple, is_defined, has_zero in zip(
+                itertools.product(self._coords(), repeat=3),
+                self.defined.ravel().tolist(),
+                self.contains_zero.ravel().tolist(),
+            )
+        ]
 
     @property
-    def witnesses(self) -> list[ScanEntry]:
-        return [e for e in self.entries if e.defined and not e.contains_zero]
+    def witnesses(self) -> list[Witness]:
+        coords = self._coords()
+        found = np.nonzero(self.defined & ~self.contains_zero)
+        return [Witness((coords[i], coords[j], coords[k])) for i, j, k in zip(*(a.tolist() for a in found))]
 
     @property
     def holds(self) -> bool:
-        return not self.witnesses
+        return not (self.defined & ~self.contains_zero).any()
 
 
-# cells of the representatives formed per block of the scan: bounds its
-# working memory whatever the number of triples
+# cells of the trilinear contraction formed per block of the scan: bounds
+# its working memory whatever the number of triples
 _SCAN_CELLS = 1 << 18
 
 
 def scan_vanishing(group: FiniteGroup, p: int) -> ScanReport:
     """Check the vanishing triple Massey product property on every ordered
-    triple of H^1 elements (zero and repeats included).  Entries equal
+    triple of H^1 elements (zero and repeats included).  The verdicts equal
     `triple_massey_set` + `contains_zero`.
 
-    Batched.  Every cup class chi_i u chi_j is read from the ring's cup
-    table, since chi_i = sum_a x_ia phi_a as a cochain (B^1 = 0); one d1
-    solve of the cups from their values on G x S (`solve_cups`, no |G|^2
-    cup table) gives all c_ij, and its solvability must agree with the table.
-    Blocks of representatives -(chi_i u c_jk + c_ij u chi_k) get H^2
-    coordinates from solves that also check exactly that they are
-    cocycles.  The indeterminacy chi_i u H^1 + chi_k u H^1 (Kraines) depends
-    only on the subspace span(chi_i, chi_k): its rows come from the cup
-    table once per subspace, and every triple over that subspace is tested
-    against them in one batch."""
+    Batched, and no cochain is formed per triple.  Every cup class
+    chi_i u chi_j is read from the ring's cup table T, since
+    chi_i = sum_a x_ia phi_a as a cochain (B^1 = 0), and a triple is defined
+    iff both of its cups vanish.  Its representative then has the
+    coordinates sum_abc x_ia x_jb x_kc M[a, b, c] of the ring's trilinear
+    form (`CohomologyRing.triple_form`, d^2 tree solves per ring that also
+    check every entry of T).  That representative differs from the one of
+    `find_triple_defining_system` by chi_i u z + z' u chi_k for 1-cocycles
+    z, z', so inside the indeterminacy chi_i u H^1 + chi_k u H^1
+    (Kraines), and the verdicts agree.  It is 0 when a character is 0, so
+    only triples of nonzero characters are contracted, in blocks of
+    bounded size.  The indeterminacy depends only on the subspace
+    span(chi_i, chi_k): its rows come from the cup table once per
+    subspace, and every nonzero representative over that subspace is
+    tested against them in one batch."""
     ring = get_ring(group, p)
-    h2 = ring.basis(2)
-    n, d, dim = group.order, ring.basis(1).dim, h2.dim
-    coords = list(itertools.product(range(p), repeat=d))
-    m = len(coords)
-    x = np.asarray(coords, dtype=np.int64).reshape(m, d)
-    vals = (x @ ring.basis(1).rep_values) % p  # the characters, as `character_from_coords`
+    d, dim = ring.basis(1).dim, ring.basis(2).dim
+    form, table = ring.triple_form(), ring.cup_table()
+    m = p**d
+    x = np.asarray(list(itertools.product(range(p), repeat=d)), dtype=np.int64).reshape(m, d)
 
     # left[i, b] = coordinates of chi_i u phi_b; chi_i u chi_j = sum_b x_jb left[i, b]
-    left = (x @ ring.cup_table().reshape(d, d * dim)).reshape(m, d, dim) % p
+    left = (x @ table.reshape(d, d * dim)).reshape(m, d, dim) % p
     cup_zero = ~((left.transpose(0, 2, 1) @ x.T) % p).any(axis=1)
-    # c_ij solving d c_ij = -(chi_i u chi_j), an independent test of vanishing
-    c, ok = ring.d1_solver().solve_cups(np.repeat(-vals.T, m, axis=1), np.tile(vals.T, m))
-    if not np.array_equal(ok, cup_zero.reshape(-1)):
-        raise RuntimeError("vanishing cup classes disagree with d1-solvability")
-    c = c.T.reshape(m, m, n)
-
     defined = cup_zero[:, :, None] & cup_zero[None, :, :]
-    ii, jj, kk = np.nonzero(defined)
-    reps = np.zeros((len(ii), dim), dtype=np.int64)
-    step = max(1, _SCAN_CELLS // (n * n))
-    for s in range(0, len(ii), step):
-        i, j, k = ii[s : s + step], jj[s : s + step], kk[s : s + step]
-        z = vals[i, :, None] * c[j, k, None, :] + c[i, j, :, None] * vals[k, None, :]
-        reps[s : s + step] = h2.coordinates_batch((-z % p).reshape(len(i), -1).T).T
+    contains = defined.copy()  # cleared below where the representative misses the span
 
-    # key each (i, k) by the sorted indices of the characters a chi_i + b chi_k
-    pairs, pair_of = np.unique(ii * m + kk, return_inverse=True)
-    pi, pk = np.divmod(pairs, m)
-    ab = np.asarray(list(itertools.product(range(p), repeat=2)), dtype=np.int64)
+    # a[i, (b, c)] = sum_a x_ia M[a, b, c]: the representative of (i, j, k) is
+    # sum_bc x_jb x_kc a[i, (b, c)]
+    a = (x @ form.reshape(d, d * d * dim)).reshape(m, d * d, dim) % p
+    coef = np.asarray(list(itertools.product(range(p), repeat=2)), dtype=np.int64)
     place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    combos = (ab[:, 0, None, None] * x[pi] + ab[:, 1, None, None] * x[pk]) % p
-    members = np.sort(combos @ place, axis=0).T
-    _, some_pair, span_of = np.unique(members, axis=0, return_index=True, return_inverse=True)
-    span_of = span_of.reshape(-1)[pair_of]
+    spans: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # RREF rows and pivots per span
+    for i, j, k in _nonzero_blocks(defined, max(1, _SCAN_CELLS // max(d * d * dim, 1))):
+        w = (x[j, :, None] * x[k, None, :]).reshape(len(i), d * d)
+        reps = np.einsum("nq,nqt->nt", w, a[i]) % p
+        live = reps.any(axis=1)
+        i, j, k, reps = i[live], j[live], k[live], reps[live]
+        # key each (i, k) by the sorted indices of the characters a chi_i + b chi_k
+        combos = (coef[:, 0, None, None] * x[i] + coef[:, 1, None, None] * x[k]) % p
+        members = np.sort(combos @ place, axis=0).T
+        keys, some, span_of = np.unique(members, axis=0, return_index=True, return_inverse=True)
+        span_of = span_of.reshape(-1)
+        by_span = np.split(np.argsort(span_of, kind="stable"), np.cumsum(np.bincount(span_of))[:-1])
+        for key, q, sel in zip(map(bytes, keys), some, by_span):
+            if key not in spans:
+                red, pivots = rref(np.concatenate([left[i[q]], left[k[q]]]), p)
+                spans[key] = red[: len(pivots)], pivots
+            rows, pivots = spans[key]
+            # v is in the span of RREF rows R iff v == v[pivots] @ R
+            v = reps[sel]
+            contains[i[sel], j[sel], k[sel]] = ~((v - v[:, pivots] @ rows) % p).any(axis=1)
 
-    # v is in the span of RREF rows R iff v == v[pivots] @ R
-    contains = np.zeros(len(ii), dtype=bool)
-    by_span = np.split(np.argsort(span_of, kind="stable"), np.cumsum(np.bincount(span_of))[:-1])
-    for q, sel in zip(some_pair, by_span):
-        red, pivots = rref(np.concatenate([left[pi[q]], left[pk[q]]]), p)
-        rows = red[: len(pivots)]
-        v = reps[sel]
-        contains[sel] = ~((v - v[:, pivots] @ rows) % p).any(axis=1)
+    for arr in (defined, contains):
+        arr.setflags(write=False)
+    return ScanReport(group, p, d, defined, contains)
 
-    cz = np.zeros_like(defined)
-    cz[ii, jj, kk] = contains
-    return ScanReport(group, p, [
-        ScanEntry(triple, is_defined, has_zero)
-        for triple, is_defined, has_zero in zip(
-            itertools.product(coords, repeat=3), defined.ravel().tolist(), cz.ravel().tolist()
-        )
-    ])
+
+def _nonzero_blocks(defined: np.ndarray, step: int):
+    """Index arrays (i, j, k) of the true entries of `defined` with i, j, k
+    all nonzero, in blocks of at most `step` triples, found slab by slab of
+    i (at most max(step, m^2) entries at a time)."""
+    m = len(defined)
+    slab = max(1, step // (m * m))
+    for lo in range(1, m, slab):
+        i, j, k = np.nonzero(defined[lo : lo + slab, 1:, 1:])
+        for s in range(0, len(i), step):
+            yield i[s : s + step] + lo, j[s : s + step] + 1, k[s : s + step] + 1
 
 
 def _common(*chars: Character) -> tuple[FiniteGroup, int]:

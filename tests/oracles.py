@@ -28,7 +28,8 @@ reads class coordinates from one `Solver` on the |G|^degree-row matrix
 [d^(degree-1) | Z^T].  `cup_span_by_cochains` spans chi u H^1
 from the cup cochains themselves, not from the ring's table of basis cups,
 and `res_kernel_by_restrict` builds the restriction matrix one `restrict`
-cochain at a time.
+cochain at a time.  `enumerate_triple_classes` reads the class of every
+defining system of a triple Massey product, not the coset formula.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from masseybrauer.cochain_dga import (
 from masseybrauer.fp_linalg import Solver, null_space_rows, row_space_basis
 from masseybrauer.group_core import Character, FiniteGroup, Subgroup, bfs_tree
 from masseybrauer.lgp_decompose import NonSplittingError, SearchBoundExceeded
+from masseybrauer.massey import find_triple_defining_system
 from masseybrauer.unipotent import GroupHom, Relators, build_unipotent
 
 
@@ -872,3 +874,40 @@ def res_kernel_by_restrict(group: FiniteGroup, sub: Subgroup, p: int) -> np.ndar
     res = np.stack([restrict(rep, sub).flat() for rep in h2.representatives], axis=1)
     coords = sub_h2.coordinates_batch(res)
     return row_space_basis(null_space_rows(*rref(coords, p), p), p)
+
+
+def enumerate_triple_classes(
+    chi1: Character, chi2: Character, chi3: Character
+) -> set[tuple[int, ...]] | None:
+    """The set of classes [ctilde_13] over ALL defining systems, by direct
+    enumeration of every interior-entry choice.  Exponential; cross-check
+    oracle for the coset formula."""
+    g, p = chi1.group, chi1.p
+    ring = get_ring(g, p)
+    ds = find_triple_defining_system(chi1, chi2, chi3)
+    if ds is None:
+        return None
+    h2 = ring.basis(2)
+    n = g.order
+    # every valid interior entry = deterministic solution + element of Z^1,
+    # and Z^1 = span of the H^1 representatives (B^1 = 0)
+    z1 = ring.basis(1).rep_values
+    d = len(z1)
+    coeffs = np.asarray(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    u12 = (ds.entry(1, 2).flat()[None, :] + coeffs @ z1) % p
+    u23 = (ds.entry(2, 3).flat()[None, :] + coeffs @ z1) % p
+
+    v1 = chi1.values
+    v3 = chi3.values
+    # flattened tables of chi1 u c23 (per variant) and c12 u chi3 (per variant)
+    x = (v1[None, :, None] * u23[:, None, :]).reshape(len(u23), n * n) % p
+    y = (u12[:, :, None] * v3[None, None, :]).reshape(len(u12), n * n) % p
+
+    out: set[tuple[int, ...]] = set()
+    chunk = max(1, (1 << 22) // (len(u23) * n * n))
+    for s in range(0, len(u12), chunk):
+        blk = y[s : s + chunk]
+        flats = (-(x[None, :, :] + blk[:, None, :])) % p
+        coords = h2.coordinates_batch(flats.reshape(-1, n * n).T)
+        out.update(map(tuple, coords.T.tolist()))
+    return out

@@ -34,13 +34,12 @@ from masseybrauer.lgp_decompose import (
 )
 from masseybrauer.massey import (
     contains_zero,
-    enumerate_triple_classes,
     scan_vanishing,
     triple_massey_set,
 )
 from masseybrauer.unipotent import check_surjective, find_prescribed_hom
 
-from oracles import hilbert_oracle
+from oracles import enumerate_triple_classes, hilbert_oracle
 
 SWEEP = [
     ("cyclic:2", 2),

@@ -5,18 +5,19 @@ import pytest
 
 from masseybrauer.catalog import builtin_group
 from masseybrauer.cochain_dga import Cochain, TreeD1Solver, cup, differential, get_ring, restrict
-from masseybrauer.group_core import Character, cyclic_group, kernel_of_characters
+from masseybrauer.fp_linalg import in_row_space
+from masseybrauer.group_core import Character, cyclic_group, elementary_abelian, kernel_of_characters
 from masseybrauer.massey import (
     DefiningSystem,
     MasseyCoset,
+    ScanEntry,
     contains_zero,
-    enumerate_triple_classes,
     find_triple_defining_system,
     scan_vanishing,
     tilde,
     triple_massey_set,
 )
-from oracles import d1_solver_by_coboundary_matrix
+from oracles import d1_solver_by_coboundary_matrix, enumerate_triple_classes
 
 
 def chars_of(name, p):
@@ -245,6 +246,173 @@ class TestCupsOnGeneratorColumns:
             if ds is not None:
                 assert ds.is_valid()
         assert rows and set(rows) == {(n, n)}
+
+
+def scan_agrees_with_coset_formula(ring, report, triples):
+    """Assert that the report's arrays give `triple_massey_set` +
+    `contains_zero` at every (i, j, k) of `triples`."""
+    p, d = ring.p, ring.basis(1).dim
+    coords = itertools.product(range(p), repeat=d)
+    chars = [ring.character_from_coords(np.asarray(c, dtype=np.int64)) for c in coords]
+    for i, j, k in triples:
+        coset = triple_massey_set(chars[i], chars[j], chars[k])
+        assert report.defined[i, j, k] == (coset is not None), (i, j, k)
+        assert report.contains_zero[i, j, k] == (coset is not None and contains_zero(coset)), (i, j, k)
+
+
+class TestTrilinearScan:
+    """The scan reads each representative off the ring's trilinear form
+    M[a, b, c] (`CohomologyRing.triple_form`); its verdicts are compared
+    with the per-triple coset formula, which solves a defining system of
+    cochains for each triple."""
+
+    @pytest.mark.parametrize(
+        "name,p",
+        [("elab:2:3", 2), ("quaternion8", 2), ("dihedral:8", 2), ("elab:3:2", 3), ("cyclic:9", 3),
+         ("elab:2:4", 2), ("dihedral:16", 2), ("unipotent:3:2", 2)],
+    )
+    def test_every_triple(self, name, p):
+        g, ring = chars_of(name, p)
+        report = scan_vanishing(g, p)
+        m = p ** ring.basis(1).dim
+        assert report.defined.shape == report.contains_zero.shape == (m, m, m)
+        scan_agrees_with_coset_formula(ring, report, itertools.product(range(m), repeat=3))
+
+    @pytest.mark.parametrize(
+        "name,p,witnesses", [("elab:3:3", 3, 104), ("unipotent:2:3", 3, 512), ("elab:3:4", 3, 320)]
+    )
+    def test_sample_and_every_witness(self, name, p, witnesses):
+        g, ring = chars_of(name, p)
+        report = scan_vanishing(g, p)
+        found = np.argwhere(report.defined & ~report.contains_zero)
+        assert len(report.witnesses) == len(found) == witnesses
+        rng = np.random.default_rng(27)
+        defined = np.argwhere(report.defined)
+        sample = np.concatenate([
+            defined[rng.choice(len(defined), 100, replace=False)],
+            rng.integers(0, len(report.defined), size=(100, 3)),
+            found,
+        ])
+        scan_agrees_with_coset_formula(ring, report, sample.tolist())
+
+    @pytest.mark.parametrize("name,p,m", [("cyclic:1", 2, 1), ("cyclic:6", 5, 1), ("cyclic:6", 3, 3)])
+    def test_edge_cases(self, name, p, m):
+        g, ring = chars_of(name, p)
+        report = scan_vanishing(g, p)
+        assert report.defined.shape == (m, m, m) and len(report.entries) == m**3
+        assert ring.triple_form().shape == (ring.basis(1).dim,) * 3 + (ring.basis(2).dim,)
+        scan_agrees_with_coset_formula(ring, report, itertools.product(range(m), repeat=3))
+        assert report.holds == (m == 1)
+
+    @pytest.mark.parametrize(
+        "name,p",
+        [("elab:3:2", 3), ("unipotent:2:3", 3), ("cyclic:3", 3), ("unipotent:2:2", 2), ("unipotent:3:2", 2)],
+    )
+    def test_form_gives_a_class_of_the_coset(self, name, p):
+        """sum_abc x_ia x_jb x_kc M[a, b, c] lies in the Massey coset of every
+        defined triple, not only on the same side of 0."""
+        g, ring = chars_of(name, p)
+        d = ring.basis(1).dim
+        coords = np.asarray(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+        chars = [ring.character_from_coords(c) for c in coords]
+        form, seen = ring.triple_form(), 0
+        for i, j, k in itertools.product(range(len(coords)), repeat=3):
+            coset = triple_massey_set(chars[i], chars[j], chars[k])
+            if coset is not None:
+                rep = np.einsum("a,b,c,abct->t", coords[i], coords[j], coords[k], form) % p
+                assert in_row_space((rep - coset.representative) % p, coset.indeterminacy, p)
+                seen += bool(rep.any())
+        assert seen  # some representative is not 0
+
+    @pytest.mark.parametrize("name,p", [("elab:3:2", 3), ("unipotent:3:2", 2), ("dihedral:8", 2), ("elab:2:3", 2)])
+    def test_form_is_the_readout_of_its_cochains(self, name, p, monkeypatch):
+        """M[a, b, c] is the readout at L of phi_a u c_bc + c_ab u phi_c for
+        the solutions c_bc that the solver returns.  Solutions that are 0 on
+        the lead columns of Z^1 read 0 at L in c_ab u phi_c on every group
+        here, so they are shifted by the cocycle phi_0, which every T[0, c]
+        that is not 0 makes visible in both terms."""
+        g, ring = chars_of(name, p)
+        h1, h2, table = ring.basis(1), ring.basis(2), ring.cup_table()
+        n, d, phis = g.order, h1.dim, h1.rep_values
+        assert table[0].any()
+        real = TreeD1Solver._solve
+
+        def shifted(self, at_s, at_e):
+            c, ok = real(self, at_s, at_e)
+            return (c + phis[0][:, None]) % p, ok
+
+        monkeypatch.setattr(TreeD1Solver, "_solve", shifted)
+        monkeypatch.setattr(ring, "_triple_form", None)
+        form = ring.triple_form()
+        # d c_bc = phi_b u phi_c - sum_t T[b, c, t] r_t on the whole |G| x |G| table
+        cups = (phis[:, None, :, None] * phis[None, :, None, :]).reshape(d * d, n * n)
+        f = cups - table.reshape(d * d, -1) @ h2.rep_values
+        c, ok = ring.d1_solver().solve_many(f.T % p)
+        assert ok.all()
+        c = c.T.reshape(d, d, n)
+        for a, b, k in itertools.product(range(d), repeat=3):
+            z = np.multiply.outer(phis[a], c[b, k]) + np.multiply.outer(c[a, b], phis[k])
+            want = (h2._to_coords @ (z.reshape(-1)[h2._lead] % p)).astype(np.int64) % p
+            assert np.array_equal(form[a, b, k], want), (a, b, k)
+
+    @pytest.mark.parametrize("name,p", [("elab:2:2", 2), ("elab:3:2", 3), ("cyclic:9", 3), ("quaternion8", 2)])
+    def test_one_wrong_table_entry_raises(self, name, p):
+        g, ring = chars_of(name, p)
+        good = ring.cup_table()
+        try:
+            for pos in np.ndindex(good.shape):
+                bad = good.copy()
+                bad[pos] = (bad[pos] + 1) % p
+                ring._cup_table = bad
+                with pytest.raises(RuntimeError, match="d1-solvability"):
+                    scan_vanishing(g, p)
+        finally:
+            ring._cup_table = good
+        scan_vanishing(g, p)  # the restored table passes again
+
+    def test_form_built_once_on_first_scan(self, monkeypatch):
+        g = elementary_abelian(3, 2)  # a fresh group, so a fresh ring
+        ring = get_ring(g, 3)
+        ring.basis(1), ring.basis(2), ring.d1_solver(), ring.cup_table()
+        assert ring._triple_form is None
+        widths, real = [], TreeD1Solver._solve
+
+        def recording(self, at_s, at_e):
+            widths.append(at_s.shape[2])
+            return real(self, at_s, at_e)
+
+        monkeypatch.setattr(TreeD1Solver, "_solve", recording)
+        first, second = scan_vanishing(g, 3), scan_vanishing(g, 3)
+        assert widths == [4]  # one solve of the d^2 = 4 basis pairs
+        assert len(first.witnesses) == len(second.witnesses) == 32
+        assert not ring.triple_form().flags.writeable
+
+    def test_entries_built_on_read(self, monkeypatch):
+        g, ring = chars_of("elab:3:2", 3)
+        report = scan_vanishing(g, 3)
+        made, real = [], ScanEntry.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(ScanEntry, "__init__", counting)
+        assert not report.holds and len(report.witnesses) == 32
+        assert not made
+        coords = list(itertools.product(range(3), repeat=2))
+        eager = [
+            ScanEntry((coords[i], coords[j], coords[k]), bool(report.defined[i, j, k]),
+                      bool(report.contains_zero[i, j, k]))
+            for i, j, k in itertools.product(range(9), repeat=3)
+        ]
+        made.clear()
+        assert report.entries == eager and len(made) == 9**3
+        assert report.entries is report.entries and len(made) == 9**3
+        assert [w.triple for w in report.witnesses] == [
+            e.triple for e in report.entries if e.defined and not e.contains_zero
+        ]
+        assert all(w.defined and not w.contains_zero for w in report.witnesses)
+        assert not report.defined.flags.writeable and not report.contains_zero.flags.writeable
 
 
 class TestRestrictionFunctoriality:
